@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .avl import RotationEvent
+from .avl import ROOT_SLOT, RotationEvent  # noqa: F401  (ROOT_SLOT re-exported)
 
 
 class WidthMismatchError(ValueError):
@@ -57,10 +57,6 @@ def hamming(a: AddressWord, b: AddressWord) -> int:
     if a.width != b.width:
         raise WidthMismatchError(f"width {a.width} != {b.width}")
     return bit_flips(a.value, b.value)
-
-
-# Sentinel location for the tree's root pointer slot.
-ROOT_SLOT = ("root",)
 
 
 @dataclass(frozen=True)

@@ -277,8 +277,8 @@ class AddressAssigner:
     """Assigns and re-assigns node addresses under one scheme.
 
     One instance serves one trial: it owns the :class:`AddressSpace`
-    and a per-node audit record (address, how it was obtained, and the
-    position it was bound at).
+    and a per-node audit record (address, how it was obtained, and for a
+    spare binding the position it was bound at).
     """
 
     def __init__(self, config: SchemeConfig, num_nodes: Optional[int] = None):
@@ -318,7 +318,9 @@ class AddressAssigner:
         return False
 
     def _positional_target(self, path: Path) -> int:
-        """Canonical address for a position, or raises DepthOverflowError."""
+        """Canonical address for a position; -1 past the depth capacity."""
+        if len(path) >= self.depth_capacity:
+            return -1
         if self.config.kind is SchemeKind.GRAY:
             index = level_order_index(path, self.depth_capacity)
         else:
@@ -345,22 +347,21 @@ class AddressAssigner:
             self.records[node] = AddressRecord(value, SOURCE_LINEAR, 0)
             return value
 
-        pos = position_id(path)
-        value, source = self._claim_positional(node, path)
+        value, source, pos = self._claim(node, path, self._positional_target(path))
         self.records[node] = AddressRecord(value, source, pos)
         return value
 
-    def _claim_positional(self, node, path: Path):
-        """Claim the canonical positional address, else the spare queue."""
-        try:
-            target = self._positional_target(path)
-        except DepthOverflowError:
+    def _claim(self, node, path: Path, target: int):
+        """Claim ``target``, else the spare queue; returns (address,
+        source, bound position).  A target of -1 is a depth overflow.
+        Only a spare binding records its position."""
+        space = self.space
+        if space.is_free(target):
+            space.occupied[target] = node
+            return target, SOURCE_POSITIONAL, 0
+        if target < 0:
             self.overflow_fallbacks += 1
-            return self.space.allocate_lowest_free(node), SOURCE_SPARE
-        if self.space.is_free(target):
-            self.space.claim(target, node)
-            return target, SOURCE_POSITIONAL
-        return self.space.allocate_lowest_free(node), SOURCE_SPARE
+        return space.allocate_lowest_free(node), SOURCE_SPARE, position_id(path)
 
     # -- re-assignment after rotations ----------------------------------
     def rebind_moved(self, moved) -> list:
@@ -370,7 +371,7 @@ class AddressAssigner:
         preorder of the rearranged subtree; only the new paths matter.
         Returns (node, old_addr, new_addr) relabels.
         """
-        return self._rebind([(node, new) for node, _, new in moved])
+        return self._rebind([(node, new) for node, _, new in moved], derive=True)
 
     def full_pass(self, tree: AvlTree) -> list:
         """Whole-tree re-addressing sweep (recursive assignment pass).
@@ -380,22 +381,25 @@ class AddressAssigner:
         their position are left untouched, so on a consistent tree this
         returns exactly the relabels the incremental mode would.
         """
-        return self._rebind(tree.nodes_with_paths())
+        return self._rebind(tree.nodes_with_paths(), derive=False)
 
-    def _rebind(self, entries) -> list:
-        """Two-phase batch re-addressing.
+    def _rebind(self, entries, derive: bool) -> list:
+        """Two-phase batch re-addressing of (node, path) entries in
+        preorder of a subtree.
 
-        Phase A decides which nodes need a new address and releases all
-        their old values; phase B assigns in the same preorder order.
-        Freeing first keeps a rotation from colliding with addresses
-        its own moved set is about to give up.
+        Phase A computes each node's target once, decides which nodes
+        need a new address and releases their old values; phase B claims
+        in the same order.  Freeing first keeps a rotation from colliding
+        with addresses its own moved set is about to give up.
 
-        The positional index is recomputed from scratch for every
-        visited node (the per-node cost the full-pass mode measures);
-        the loop body inlines the rank accumulation for speed, and the
-        equivalence with :func:`dfat_index` is covered by tests.  Each
-        such computation adds one to :attr:`indexed_nodes`; linear-region
-        and overflowing nodes compute no index and add nothing.
+        The full pass computes each index from scratch (the per-node cost
+        that mode measures).  With ``derive`` an index follows in O(1)
+        from the parent's, the latest node seen one level up: DFAT adds 1
+        or 2**(capacity - depth), level order maps r to 2r + 1 + step.
+        Only the subtree root and nodes just below the linear region
+        start from scratch.  Each index computed adds one to
+        :attr:`indexed_nodes`; tests cover the equivalence of the inlined
+        arithmetic with :func:`dfat_index` and :func:`level_order_index`.
         """
         kind = self.config.kind
         if kind in (SchemeKind.LINEAR, SchemeKind.RANDOM):
@@ -406,6 +410,9 @@ class AddressAssigner:
         cutoff = self.threshold.level if kind is SchemeKind.HART else 0
         use_level_order = kind is SchemeKind.GRAY
         capacity = self.depth_capacity
+        # Nodes deeper than ``scratch`` take their index from the parent.
+        scratch = max(cutoff, len(entries[0][1])) if derive else capacity
+        ranks = [0] * capacity  # index of the latest node seen per depth
         changers = []
         append = changers.append
         release = space.release
@@ -417,13 +424,21 @@ class AddressAssigner:
                 if rec.source == SOURCE_LINEAR:
                     continue  # identity-bound while it stays in the region
                 release(rec.addr)
-                append((node, path, rec, True))
+                append((node, path, rec, None))
                 continue
             if depth >= capacity:
                 target = -1  # depth overflow: no representable target
             else:
                 indexed += 1
-                if use_level_order:
+                if depth > scratch:
+                    parent = ranks[depth - 1]
+                    if use_level_order:
+                        index = 2 * parent + 1 + path[-1]
+                    elif path[-1] == ((depth - 1) & 1):
+                        index = parent + 1
+                    else:
+                        index = parent + (1 << (capacity - depth))
+                elif use_level_order:
                     index = 1
                     for step in path:
                         index = (index << 1) | step
@@ -435,6 +450,7 @@ class AddressAssigner:
                             index += 1
                         else:
                             index += 1 << (capacity - 1 - i)
+                ranks[depth] = index
                 target = index ^ (index >> 1)
             if rec.addr == target:
                 if rec.source != SOURCE_POSITIONAL:
@@ -443,19 +459,22 @@ class AddressAssigner:
             if rec.source == SOURCE_SPARE and rec.bound_pos == position_id(path):
                 continue  # spare binding is still for this position
             release(rec.addr)
-            append((node, path, rec, False))
+            append((node, path, rec, target))
         self.indexed_nodes += indexed
 
         relabels = []
-        for node, path, rec, to_linear in changers:
+        claim = self._claim
+        occupied = space.occupied
+        null_word = space.null_word
+        for node, path, rec, target in changers:
             old = rec.addr
-            if to_linear:
-                value = space.allocate_next_linear(node)
-                source = SOURCE_LINEAR
-                pos = 0
+            if target is None:
+                value, source, pos = space.allocate_next_linear(node), SOURCE_LINEAR, 0
+            elif 0 <= target < null_word and target not in occupied:
+                occupied[target] = node  # the common case of _claim, inlined
+                value, source, pos = target, SOURCE_POSITIONAL, 0
             else:
-                pos = position_id(path)
-                value, source = self._claim_positional(node, path)
+                value, source, pos = claim(node, path, target)
             rec.addr = value
             rec.source = source
             rec.bound_pos = pos

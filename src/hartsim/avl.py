@@ -2,9 +2,10 @@
 
 Insertion behaves like a textbook AVL tree, but every single rotation is
 reported as a :class:`RotationEvent` carrying the set of nodes whose
-root path changed.  A double rotation (LR / RL) is decomposed into two
-single rotations and therefore emits two events; this is the counting
-convention used by every statistic downstream.
+root path changed and the pointer slots it rewired.  A double rotation
+(LR / RL) is decomposed into two single rotations and therefore emits
+two events; this is the counting convention used by every statistic
+downstream.
 
 Levels are 1-based: the root sits at level ``ROOT_LEVEL`` and a node at
 depth ``d`` sits at level ``d + ROOT_LEVEL``.
@@ -12,7 +13,7 @@ depth ``d`` sits at level ``d + ROOT_LEVEL``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 LEFT = 0
@@ -23,6 +24,7 @@ RIGHT = 1
 ROOT_LEVEL = 1
 
 Path = tuple  # tuple of LEFT/RIGHT steps from the root
+ROOT_SLOT = ("root",)  # slot name of the tree's root pointer
 
 
 class DuplicateKeyError(ValueError):
@@ -56,16 +58,22 @@ class RotationEvent:
     halves of a double rotation carry the double's kind.  ``moved``
     lists every node whose root path changed, as ``(node, old_path,
     new_path)`` tuples in preorder of the rearranged subtree.
+    ``rewired`` lists the pointer slots that link a different node, as
+    ``(slot, old_child, new_child)``: the slot above the subtree, then
+    the sub-root's and the pivot's inner fields unless the subtree
+    moving between them is empty.  A slot is ``(owner_node, side)``, or
+    :data:`ROOT_SLOT` for the tree's root pointer.
     """
 
     kind: str
     pivot_level: int
     moved: list
+    rewired: list = field(default_factory=list)
 
     @property
     def pivot_path(self) -> Path:
         """Path of the rotated subtree's slot (old and new subtree root)."""
-        return self.moved[0][2][: self.pivot_level - ROOT_LEVEL]
+        return self.moved[0][2]
 
 
 @dataclass
@@ -134,19 +142,21 @@ class AvlTree:
                 on_attach(leaf, ())
             return []
 
-        lineage = []  # (node, step taken from node) along the descent
+        lineage = []  # nodes along the descent
+        steps = []  # the step taken from each of them
         node = self.root
         while True:
             if key == node.key:
                 raise DuplicateKeyError(f"duplicate key {key!r}")
+            lineage.append(node)
             if key < node.key:
-                lineage.append((node, LEFT))
+                steps.append(LEFT)
                 nxt = node.left
                 if nxt is None:
                     node.left = leaf = Node(key)
                     break
             else:
-                lineage.append((node, RIGHT))
+                steps.append(RIGHT)
                 nxt = node.right
                 if nxt is None:
                     node.right = leaf = Node(key)
@@ -154,7 +164,7 @@ class AvlTree:
             node = nxt
         self.size += 1
         if on_attach is not None:
-            on_attach(leaf, tuple(step for _, step in lineage))
+            on_attach(leaf, tuple(steps))
 
         # Climb back up refreshing cached heights.  The first ancestor
         # whose balance reaches +-2 is rebalanced; an insert needs at
@@ -162,20 +172,19 @@ class AvlTree:
         # their pre-insert values and the climb can stop.
         events: list = []
         for i in range(len(lineage) - 1, -1, -1):
-            parent, _ = lineage[i]
+            parent = lineage[i]
             left, right = parent.left, parent.right
             lh = left.height if left is not None else 0
             rh = right.height if right is not None else 0
             balance = rh - lh
             if balance > 1 or balance < -1:
-                path = tuple(lineage[j][1] for j in range(i))
                 if i:
-                    attach_parent, attach_side = lineage[i - 1]
+                    attach_parent, attach_side = lineage[i - 1], steps[i - 1]
                 else:
                     attach_parent, attach_side = None, None
                 self._rebalance(
-                    parent, balance, path, attach_parent, attach_side,
-                    events, before_rotation, on_rotation,
+                    parent, balance, tuple(steps[:i]), attach_parent,
+                    attach_side, events, before_rotation, on_rotation,
                 )
                 break
             new_height = (lh if lh > rh else rh) + 1
@@ -219,18 +228,17 @@ class AvlTree:
         ``direction`` is the rotation direction: LEFT hoists the right
         child, RIGHT hoists the left child.
         """
-        old_paths = dict(_subtree_paths(sub_root, path))
         if before_rotation is not None:
             before_rotation(sub_root, kind)
 
         if direction == LEFT:
-            pivot = sub_root.right
-            sub_root.right = pivot.left
-            pivot.left = sub_root
+            hoist, pivot = RIGHT, sub_root.right
+            outer, inner, far = sub_root.left, pivot.left, pivot.right
+            sub_root.right, pivot.left = inner, sub_root
         else:
-            pivot = sub_root.left
-            sub_root.left = pivot.right
-            pivot.right = sub_root
+            hoist, pivot = LEFT, sub_root.left
+            outer, inner, far = sub_root.right, pivot.right, pivot.left
+            sub_root.left, pivot.right = inner, sub_root
 
         for n in (sub_root, pivot):  # order matters: sub_root is now below
             lh = n.left.height if n.left is not None else 0
@@ -243,9 +251,37 @@ class AvlTree:
             attach_parent.left = pivot
         else:
             attach_parent.right = pivot
+        above = ROOT_SLOT if attach_parent is None else (attach_parent, attach_side)
+        rewired = [(above, sub_root, pivot)]
+        if inner is not None:
+            rewired += [((sub_root, hoist), pivot, inner),
+                        ((pivot, direction), inner, sub_root)]
 
-        moved = [(n, old_paths[n], p) for n, p in _subtree_paths(pivot, path)]
-        event = RotationEvent(kind, len(path) + ROOT_LEVEL, moved)
+        # One preorder walk of the new subtree.  Each region's old path
+        # follows from where it came from: the pivot and the sub-root z
+        # trade places, A (z's outer subtree) gains a step, B (the inner
+        # subtree) swaps one and C (the pivot's outer subtree) loses one.
+        up, down = path + (hoist,), path + (direction,)
+        z = (sub_root, path, down)
+        a = (outer, down, down + (direction,))
+        b = (inner, up + (direction,), down + (hoist,))
+        c = (far, up + (hoist,), up)
+        # Stack top last: the new preorder is pivot, z, A, B, C after a
+        # LEFT rotation and pivot, C, z, B, A after a RIGHT one.
+        stack = [c, b, a, z] if direction == LEFT else [a, b, z, c]
+        moved = [(pivot, up, path)]
+        while stack:
+            item = stack.pop()
+            n, old, new = item
+            if n is None:
+                continue
+            moved.append(item)
+            if n is not sub_root:  # z's subtrees are regions of their own
+                if n.right is not None:
+                    stack.append((n.right, old + (RIGHT,), new + (RIGHT,)))
+                if n.left is not None:
+                    stack.append((n.left, old + (LEFT,), new + (LEFT,)))
+        event = RotationEvent(kind, len(path) + ROOT_LEVEL, moved, rewired)
         events.append(event)
         if on_rotation is not None:
             on_rotation(event)

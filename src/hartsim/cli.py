@@ -48,7 +48,6 @@ from .harness import (
     run_experiment,
 )
 from .report import (
-    OutputRow,
     rows_from_cell,
     write_rows_csv,
     write_rows_json,
@@ -77,6 +76,21 @@ def parse_bits(text: str) -> list:
     if not widths:
         raise ValueError("no widths given")
     return widths
+
+
+def single_width(args) -> int:
+    """The one width of ``--bits`` for commands that take no range."""
+    widths = parse_bits(args.bits)
+    if len(widths) != 1:
+        raise ValueError(f"{args.command} takes a single width, got --bits {args.bits}")
+    return widths[0]
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def parse_ratio(text: str) -> Fraction:
@@ -167,8 +181,7 @@ def cmd_compare_thresholds(args) -> int:
         if num_nodes < 1:
             raise ValueError("--nodes must be >= 1")
     else:
-        (width,) = parse_bits(args.bits)
-        num_nodes = nodes_for_width(width)
+        num_nodes = nodes_for_width(single_width(args))
     ratios = (
         tuple(parse_ratio(text) for text in args.ratios.split(","))
         if args.ratios
@@ -193,32 +206,8 @@ def cmd_compare_thresholds(args) -> int:
     )
     rows = []
     for ratio, metrics in results.items():
-        common = dict(
-            width=metrics["width"],
-            scheme=SchemeKind.HART.value,
-            threshold_ratio=ratio,
-            trials=metrics["trials"],
-            seed=metrics["seed"],
-        )
+        rows.extend(rows_from_cell(metrics["cell"]))
         mean = metrics["mean_flips_per_rotation"]
-        if mean is not None:
-            rows.append(
-                OutputRow(metric="mean_flips_per_rotation", value=mean, **common)
-            )
-        rows.append(
-            OutputRow(
-                metric="wall_time_seconds",
-                value=metrics["wall_time_seconds"],
-                **common,
-            )
-        )
-        rows.append(
-            OutputRow(
-                metric="overflow_fallbacks",
-                value=float(metrics["overflow_fallbacks"]),
-                **common,
-            )
-        )
         print(
             f"ratio={ratio} H={metrics['height']} T={metrics['threshold']} "
             f"mean_flips={'n/a' if mean is None else f'{mean:.4f}'} "
@@ -249,11 +238,10 @@ def cmd_rotations(args) -> int:
             write_series_csv(path, header, series)
         else:
             write_series_json(path, header, series)
-        peak_level = max(hist, key=hist.__getitem__)
-        print(
-            f"width={width} peak_level={peak_level} "
-            f"peak_avg={hist[peak_level]:.2f} wrote {path}"
-        )
+        peak = max(hist, key=hist.__getitem__, default=None)  # None: no rotation
+        summary = ("peak_level=n/a peak_avg=n/a" if peak is None
+                   else f"peak_level={peak} peak_avg={hist[peak]:.2f}")
+        print(f"width={width} {summary} wrote {path}")
     return 0
 
 
@@ -268,8 +256,7 @@ def cmd_assign_dump(args) -> int:
     if args.nodes is not None:
         num_nodes = args.nodes
     elif args.bits is not None:
-        (width,) = parse_bits(args.bits)
-        num_nodes = nodes_for_width(width)
+        num_nodes = nodes_for_width(single_width(args))
     else:
         raise ValueError("give --nodes or --bits")
     if not 1 <= num_nodes <= ASSIGN_DUMP_LIMIT:
@@ -344,7 +331,7 @@ def _add_common(sub) -> None:
     )
     sub.add_argument("--out", choices=("csv", "json"), default="csv")
     sub.add_argument("--output-dir", default=".")
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=positive_int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

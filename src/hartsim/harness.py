@@ -24,14 +24,13 @@ from time import perf_counter
 from typing import Optional
 
 from .accounting import (
-    ROOT_SLOT,
     AccountingConfig,
     FlipLedger,
     WordWrite,
     record_rotation,
 )
 from .addressing import AddressAssigner, SchemeConfig, SchemeKind, Threshold
-from .avl import LEFT, RIGHT, AvlTree
+from .avl import AvlTree
 
 INCREMENTAL = "incremental"
 FULL_PASS = "full-pass"
@@ -155,69 +154,43 @@ class TrialRunner:
 
     def _on_rotation(self, event) -> None:
         t0 = perf_counter()
-        old_slots = self._slot_words(event, use_old=True)
+        records = self.assigner.records
+        hook = self.after_rotation_hook
+        acct = self.accounting
+        # Writes of a category that is not counted are not built unless
+        # a hook looks at them.
+        watched = hook is not None
+        rewired = event.rewired if watched or acct.count_pointer_rewrites else ()
+        old_words = [records[old].addr for _, old, _ in rewired]
         if self.reassign_mode == FULL_PASS:
             relabels = self.assigner.full_pass(self.tree)
         else:
             relabels = self.assigner.rebind_moved(event.moved)
-        new_slots = self._slot_words(event, use_old=False)
         # A pointer rewrite is a slot that points at a *different* node
-        # and whose stored word actually changed.  Slots that keep their
-        # child but see its address change are relabel propagation and
-        # are charged through the relabel category instead.
-        rewrites = []
-        for slot, (child, old_word) in old_slots.items():
-            entry = new_slots.get(slot)
-            if entry is None:
-                continue
-            new_child, new_word = entry
-            if new_child is not child and new_word != old_word:
-                rewrites.append(WordWrite(slot, old_word, new_word))
+        # (one the rotation rewired) and whose stored word actually
+        # changed.  Slots that keep their child but see its address
+        # change are relabel propagation, charged as relabels instead.
+        rewrites = [
+            WordWrite(slot, old_word, records[new].addr)
+            for (slot, _, new), old_word in zip(rewired, old_words)
+            if records[new].addr != old_word
+        ]
         relabel_writes = [
             WordWrite(("label", node), old, new) for node, old, new in relabels
-        ]
-        if self.rotation_counting == PER_CASE and event.kind in _DOUBLE_KINDS:
-            if self._pending_half is None:
-                # First half of a double: hold its writes for the case.
-                self._pending_half = (relabel_writes, rewrites)
-            else:
-                held_relabels, held_rewrites = self._pending_half
-                self._pending_half = None
-                record_rotation(
-                    event,
-                    held_relabels + relabel_writes,
-                    held_rewrites + rewrites,
-                    self.ledger,
-                    self.accounting,
-                )
+        ] if watched or acct.count_node_relabels else []
+        held = self._pending_half
+        if held is not None:  # second half of a double, per-case mode
+            self._pending_half = None
+            record_rotation(event, held[0] + relabel_writes,
+                            held[1] + rewrites, self.ledger, acct)
+        elif self.rotation_counting == PER_CASE and event.kind in _DOUBLE_KINDS:
+            # First half of a double: hold its writes for the case.
+            self._pending_half = (relabel_writes, rewrites)
         else:
-            record_rotation(
-                event, relabel_writes, rewrites, self.ledger, self.accounting
-            )
+            record_rotation(event, relabel_writes, rewrites, self.ledger, acct)
         self.addressing_seconds += perf_counter() - t0
-        if self.after_rotation_hook is not None:
-            self.after_rotation_hook(event, relabel_writes, rewrites)
-
-    def _slot_words(self, event, use_old: bool) -> dict:
-        """Pointer slots inside the rotated subtree plus the slot above
-        it, as {slot: (child node, stored word)}, reconstructed from the
-        event's path diffs alone."""
-        idx = 1 if use_old else 2
-        entries = [(item[0], item[idx]) for item in event.moved]
-        by_path = {path: node for node, path in entries}
-        addr_of = self.assigner.address_of
-        words = {}
-        for node, path in entries:
-            child = by_path.get(path + (LEFT,))
-            if child is not None:
-                words[(node, LEFT)] = (child, addr_of(child))
-            child = by_path.get(path + (RIGHT,))
-            if child is not None:
-                words[(node, RIGHT)] = (child, addr_of(child))
-        pivot_path = event.pivot_path
-        occupant = by_path[pivot_path]
-        words[ROOT_SLOT] = (occupant, addr_of(occupant))
-        return words
+        if watched:
+            hook(event, relabel_writes, rewrites)
 
 
 def run_trial(
@@ -269,14 +242,6 @@ class SchemeSpec:
     def tag(self) -> str:
         return self.kind.value
 
-    def config(self, width: int, seed: int = 0) -> SchemeConfig:
-        return SchemeConfig(
-            kind=self.kind,
-            pointer_width=width,
-            threshold_ratio=self.threshold_ratio,
-            seed=seed,
-        )
-
 
 @dataclass
 class ExperimentConfig:
@@ -324,12 +289,16 @@ class CellResult:
     def wall_seconds_per_trial(self) -> float:
         return self.wall_seconds_total / self.trials
 
-    @property
-    def rotations_per_level_avg(self) -> dict:
-        return {
-            level: count / self.trials
-            for level, count in sorted(self.ledger.rotations_per_level.items())
-        }
+
+def _map_trials(fn, tasks, jobs: int) -> list:
+    """``fn`` over ``tasks``, in a process pool when ``jobs`` > 1; the
+    (trial, ...) outcomes come back in trial order, whatever the schedule."""
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(fn, tasks, chunksize=1))
+    else:
+        outcomes = [fn(task) for task in tasks]
+    return sorted(outcomes, key=lambda item: item[0])
 
 
 def _trial_task(args):
@@ -384,15 +353,9 @@ def run_cell(
         )
         for trial in range(trials)
     ]
-    if jobs > 1 and trials > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_trial_task, tasks, chunksize=1))
-    else:
-        outcomes = [_trial_task(task) for task in tasks]
-    outcomes.sort(key=lambda item: item[0])  # schedule-independent merge
     merged = FlipLedger()
     wall_total = 0.0
-    for _, ledger, wall in outcomes:
+    for _, ledger, wall in _map_trials(_trial_task, tasks, jobs):
         merged = merged.merge(ledger)
         wall_total += wall
     return CellResult(
@@ -438,8 +401,9 @@ def compare_thresholds(
 ) -> dict:
     """Run the hybrid scheme at each threshold ratio on one tree size.
 
-    Returns {ratio: metrics}; the pointer width is the height estimate
-    plus two, the number of bits needed to address such a tree.
+    Returns {ratio: metrics}, the cell's :class:`CellResult` under
+    "cell"; the pointer width is the height estimate plus two, the
+    number of bits needed to address such a tree.
     """
     if num_nodes < 1:
         raise ValueError("num_nodes must be >= 1")
@@ -468,6 +432,7 @@ def compare_thresholds(
             "overflow_fallbacks": cell.ledger.overflow_fallbacks,
             "trials": trials,
             "seed": base_seed,
+            "cell": cell,
         }
     return results
 
@@ -505,13 +470,8 @@ def rotations_histogram(
         raise ValueError(f"unknown rotation counting {rotation_counting!r}")
     n = nodes_for_width(width) if num_nodes is None else num_nodes
     tasks = [(width, trial, base_seed, n, rotation_counting) for trial in range(trials)]
-    if jobs > 1 and trials > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_histogram_task, tasks, chunksize=1))
-    else:
-        outcomes = [_histogram_task(task) for task in tasks]
     totals: dict = {}
-    for _, counts in sorted(outcomes, key=lambda item: item[0]):
+    for _, counts in _map_trials(_histogram_task, tasks, jobs):
         for level, count in counts.items():
             totals[level] = totals.get(level, 0) + count
     return {level: totals[level] / trials for level in sorted(totals)}

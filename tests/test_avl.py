@@ -8,10 +8,12 @@ from conftest import build_tree
 from hartsim.avl import (
     LEFT,
     RIGHT,
+    ROOT_SLOT,
     AvlTree,
     DuplicateKeyError,
     KeyNotFoundError,
     Node,
+    _subtree_paths,
 )
 from hartsim.harness import gen_dataset
 
@@ -118,6 +120,61 @@ def test_moved_nodes_stay_under_pivot_slot():
 
     for key in gen_dataset(200, 5):
         tree.insert(key, on_rotation=check)
+
+
+def _slots(tree):
+    """{slot: child or None} for every pointer slot of the tree."""
+    slots = {ROOT_SLOT: tree.root}
+    for node, _ in tree.nodes_with_paths():
+        slots[(node, LEFT)] = node.left
+        slots[(node, RIGHT)] = node.right
+    return slots
+
+
+def test_moved_set_and_rewired_slots_match_tree_snapshots():
+    """Whole-tree snapshots around every single rotation: ``moved`` is
+    exactly the rearranged subtree, with its paths before and after, in
+    the preorder ``_subtree_paths`` gives; ``rewired`` is exactly the set
+    of slots whose non-None child changed."""
+    state = {}
+    seen = {"LEFT": 0, "RIGHT": 0, "one slot": 0, "three slots": 0}
+
+    def before(sub_root, kind):
+        state["paths"] = dict(tree.nodes_with_paths())
+        state["slots"] = _slots(tree)
+
+    def after(event):
+        old_paths = state["paths"]
+        new_paths = dict(tree.nodes_with_paths())
+        prefix = event.pivot_path
+        expected = [
+            (node, old_paths[node], path)
+            for node, path in _subtree_paths(tree.node_at(prefix), prefix)
+        ]
+        assert event.moved == expected
+        changed = {n for n, path in new_paths.items() if old_paths[n] != path}
+        assert changed == {node for node, _, _ in event.moved}
+
+        old_slots, new_slots = state["slots"], _slots(tree)
+        rewired = {
+            (slot, old_slots[slot], new_slots[slot])
+            for slot in old_slots.keys() & new_slots.keys()
+            if old_slots[slot] is not None
+            and new_slots[slot] is not None
+            and old_slots[slot] is not new_slots[slot]
+        }
+        assert len(event.rewired) == len(rewired)
+        assert set(event.rewired) == rewired
+        pivot = event.moved[0][0]
+        sub_root = next(n for n, old, _ in event.moved if old == prefix)
+        seen["LEFT" if pivot.left is sub_root else "RIGHT"] += 1
+        seen["one slot" if len(rewired) == 1 else "three slots"] += 1
+
+    for seed in range(3):
+        tree = AvlTree()
+        for key in gen_dataset(300, seed):
+            tree.insert(key, before_rotation=before, on_rotation=after)
+    assert all(seen.values()), seen
 
 
 def _iter_subtree(node):

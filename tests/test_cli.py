@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,20 @@ def stable_rows(rows):
         {**row, "value": "" if row["metric"] in TIMING_METRICS else row["value"]}
         for row in rows
     ]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def blank_timings(text):
+    """CSV text with the values of timing-dependent rows emptied."""
+    lines = []
+    for line in text.split("\n"):
+        fields = line.split(",")
+        if len(fields) > 4 and fields[3] in TIMING_METRICS:
+            fields[4] = ""
+        lines.append(",".join(fields))
+    return "\n".join(lines)
 
 
 def test_parse_bits_forms():
@@ -232,3 +247,53 @@ def test_assign_dump_text_format(capsys):
     out = capsys.readouterr().out
     assert "region" in out
     assert "dfat-gray" in out
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("default", []),
+    ("full-pass", ["--mode", "full-pass"]),
+    ("accounting-both", ["--accounting", "both"]),
+])
+def test_bench_matches_committed_golden(tmp_path, name, flags):
+    """A fixed-seed grid is byte-identical to the committed output,
+    wall-time values excepted."""
+    code = main([
+        "bench", "--bits", "8-10", "--schemes", "all", "--trials", "5",
+        "--seed", "7", "--output-dir", str(tmp_path), *flags,
+    ])
+    assert code == 0
+    with open(tmp_path / "bench.csv", newline="") as handle:
+        got = blank_timings(handle.read())
+    with open(GOLDEN / f"bench_bits8-10_seed7_{name}.csv", newline="") as handle:
+        assert got == handle.read()
+
+
+def test_rotations_width_without_rotations(tmp_path, capsys):
+    code = main([
+        "rotations", "--bits", "3", "--trials", "2", "--output-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert "width=3 peak_level=n/a" in capsys.readouterr().out
+    assert read_csv(tmp_path / "rotations_bits3.csv") == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected_at_parse_time(tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "bench", "--bits", "8", "--trials", "1", "--jobs", jobs,
+            "--output-dir", str(tmp_path),
+        ])
+    assert excinfo.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["compare-thresholds", "assign-dump"])
+def test_single_width_commands_reject_a_range(tmp_path, capsys, command):
+    argv = [command, "--bits", "8-10"]
+    if command == "compare-thresholds":
+        argv += ["--trials", "1", "--output-dir", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{command} takes a single width" in err
