@@ -186,10 +186,10 @@ class AddressSpace:
     """Occupancy over [0, 2**width - 1); the all-ones word is the
     reserved null pattern and is never handed out.
 
-    The spare queue policy is "lowest free value".  A lazily cleaned
-    min-heap holds values that were freed (they may sit below the scan
-    cursor); the cursor itself only ever moves up, past values that were
-    occupied when it scanned them.
+    The spare queue policy is "lowest free value".  The scan cursor only
+    ever moves up, past values that were occupied when it scanned them,
+    so it finds any free value at or above it; a lazily cleaned min-heap
+    holds the values freed below it.
     """
 
     def __init__(self, width: int):
@@ -198,7 +198,7 @@ class AddressSpace:
         self.occupied: dict = {}  # value -> node
         self.next_linear = 0
         self.spare_allocations = 0
-        self._freed = []  # min-heap of released values (may be stale)
+        self._freed = []  # min-heap of values released below the cursor (may be stale)
         self._cursor = 0
 
     def is_free(self, value: int) -> bool:
@@ -214,7 +214,8 @@ class AddressSpace:
 
     def release(self, value: int) -> None:
         del self.occupied[value]
-        heapq.heappush(self._freed, value)
+        if value < self._cursor:
+            heapq.heappush(self._freed, value)
 
     def allocate_lowest_free(self, node) -> int:
         """Spare-queue allocation: claim and return the lowest free value."""

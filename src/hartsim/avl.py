@@ -13,7 +13,7 @@ depth ``d`` sits at level ``d + ROOT_LEVEL``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 LEFT = 0
@@ -50,30 +50,78 @@ class Node:
         return f"<Node key={self.key} h={self.height}>"
 
 
-@dataclass
 class RotationEvent:
     """One single rotation.
 
     ``kind`` names the imbalance case ("LL", "RR", "LR", "RL"); both
-    halves of a double rotation carry the double's kind.  ``moved``
-    lists every node whose root path changed, as ``(node, old_path,
-    new_path)`` tuples in preorder of the rearranged subtree.
+    halves of a double rotation carry the double's kind.  ``pivot_path``
+    is the path of the rotated subtree's slot (old and new subtree root).
     ``rewired`` lists the pointer slots that link a different node, as
     ``(slot, old_child, new_child)``: the slot above the subtree, then
     the sub-root's and the pivot's inner fields unless the subtree
     moving between them is empty.  A slot is ``(owner_node, side)``, or
     :data:`ROOT_SLOT` for the tree's root pointer.
+
+    ``moved`` lists every node whose root path changed, as ``(node,
+    old_path, new_path)`` tuples in preorder of the rearranged subtree.
+    It is walked on first read, and cached, from ``walk``: the tree and
+    its size at the rotation, the pivot, the sub-root, the direction and
+    the regions A, B and C.  The walk reads only the pivot, the sub-root
+    and the regions' insides, which nothing changes before the next
+    insert into the tree (the second half of a double relinks only its
+    own sub-root, pivot and slot above).  So ``moved`` is defined until
+    that insert; a first read after it raises :class:`RuntimeError`.
     """
 
-    kind: str
-    pivot_level: int
-    moved: list
-    rewired: list = field(default_factory=list)
+    __slots__ = ("kind", "pivot_level", "pivot_path", "rewired", "_walk", "_moved")
+
+    def __init__(self, kind: str, pivot_level: int, pivot_path: Path,
+                 rewired: list, walk: Optional[tuple]):
+        self.kind = kind
+        self.pivot_level = pivot_level
+        self.pivot_path = pivot_path
+        self.rewired = rewired
+        self._walk = walk
+        self._moved = None
 
     @property
-    def pivot_path(self) -> Path:
-        """Path of the rotated subtree's slot (old and new subtree root)."""
-        return self.moved[0][2]
+    def moved(self) -> list:
+        if self._moved is not None:
+            return self._moved
+        tree, size, pivot, sub_root, direction, outer, inner, far = self._walk
+        if tree.size != size:
+            raise RuntimeError(
+                "RotationEvent.moved first read after a later insert into "
+                "its tree; it is defined only until the next insert"
+            )
+        # One preorder walk of the new subtree.  Each region's old path
+        # follows from where it came from: the pivot and the sub-root z
+        # trade places, A (z's outer subtree) gains a step, B (the inner
+        # subtree) swaps one and C (the pivot's outer subtree) loses one.
+        path = self.pivot_path
+        hoist = RIGHT if direction == LEFT else LEFT
+        up, down = path + (hoist,), path + (direction,)
+        z = (sub_root, path, down)
+        a = (outer, down, down + (direction,))
+        b = (inner, up + (direction,), down + (hoist,))
+        c = (far, up + (hoist,), up)
+        # Stack top last: the new preorder is pivot, z, A, B, C after a
+        # LEFT rotation and pivot, C, z, B, A after a RIGHT one.
+        stack = [c, b, a, z] if direction == LEFT else [a, b, z, c]
+        moved = [(pivot, up, path)]
+        while stack:
+            item = stack.pop()
+            n, old, new = item
+            if n is None:
+                continue
+            moved.append(item)
+            if n is not sub_root:  # z's subtrees are regions of their own
+                if n.right is not None:
+                    stack.append((n.right, old + (RIGHT,), new + (RIGHT,)))
+                if n.left is not None:
+                    stack.append((n.left, old + (LEFT,), new + (LEFT,)))
+        self._moved = moved
+        return moved
 
 
 @dataclass
@@ -257,31 +305,10 @@ class AvlTree:
             rewired += [((sub_root, hoist), pivot, inner),
                         ((pivot, direction), inner, sub_root)]
 
-        # One preorder walk of the new subtree.  Each region's old path
-        # follows from where it came from: the pivot and the sub-root z
-        # trade places, A (z's outer subtree) gains a step, B (the inner
-        # subtree) swaps one and C (the pivot's outer subtree) loses one.
-        up, down = path + (hoist,), path + (direction,)
-        z = (sub_root, path, down)
-        a = (outer, down, down + (direction,))
-        b = (inner, up + (direction,), down + (hoist,))
-        c = (far, up + (hoist,), up)
-        # Stack top last: the new preorder is pivot, z, A, B, C after a
-        # LEFT rotation and pivot, C, z, B, A after a RIGHT one.
-        stack = [c, b, a, z] if direction == LEFT else [a, b, z, c]
-        moved = [(pivot, up, path)]
-        while stack:
-            item = stack.pop()
-            n, old, new = item
-            if n is None:
-                continue
-            moved.append(item)
-            if n is not sub_root:  # z's subtrees are regions of their own
-                if n.right is not None:
-                    stack.append((n.right, old + (RIGHT,), new + (RIGHT,)))
-                if n.left is not None:
-                    stack.append((n.left, old + (LEFT,), new + (LEFT,)))
-        event = RotationEvent(kind, len(path) + ROOT_LEVEL, moved, rewired)
+        event = RotationEvent(
+            kind, len(path) + ROOT_LEVEL, path, rewired,
+            (self, self.size, pivot, sub_root, direction, outer, inner, far),
+        )
         events.append(event)
         if on_rotation is not None:
             on_rotation(event)

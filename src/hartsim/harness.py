@@ -292,7 +292,7 @@ class CellResult:
 
 def _map_trials(fn, tasks, jobs: int) -> list:
     """``fn`` over ``tasks``, in a process pool when ``jobs`` > 1; the
-    (trial, ...) outcomes come back in trial order, whatever the schedule."""
+    (key, ...) outcomes come back sorted by key, whatever the schedule."""
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(fn, tasks, chunksize=1))
@@ -302,27 +302,40 @@ def _map_trials(fn, tasks, jobs: int) -> list:
 
 
 def _trial_task(args):
-    (width, kind_value, ratio, trial, base_seed, pointer_flag, relabel_flag,
-     mode, num_nodes, counting) = args
-    kind = SchemeKind(kind_value)
-    tag = kind.value
-    scheme = SchemeConfig(
-        kind=kind,
-        pointer_width=width,
-        threshold_ratio=ratio,
-        seed=scheme_seed(base_seed, width, tag, ratio, trial),
-    )
-    accounting = AccountingConfig(pointer_flag, relabel_flag)
-    ledger, wall = run_trial(
-        width,
-        scheme,
-        dataset_seed(base_seed, width, trial),
-        accounting,
-        mode,
-        num_nodes=num_nodes,
-        rotation_counting=counting,
-    )
-    return trial, ledger, wall
+    cell, trial, width, spec, base_seed, accounting, mode, num_nodes, counting = args
+    ratio = spec.threshold_ratio
+    scheme = SchemeConfig(spec.kind, width, ratio,
+                          seed=scheme_seed(base_seed, width, spec.tag, ratio, trial))
+    ledger, wall = run_trial(width, scheme, dataset_seed(base_seed, width, trial),
+                             accounting, mode, num_nodes, counting)
+    return (cell, trial), ledger, wall
+
+
+def _run_cells(cells, trials: int, base_seed: int,
+               accounting: Optional[AccountingConfig], reassign_mode: str,
+               jobs: int, rotation_counting: str) -> list:
+    """Every trial of every (width, spec, num_nodes) cell through one
+    :func:`_map_trials` call, so one process pool serves the whole
+    experiment; each cell's outcomes are merged in trial order.
+    Returns the CellResults in cell order."""
+    if accounting is None:
+        accounting = AccountingConfig()
+    tasks = [
+        (cell, trial, width, spec, base_seed, accounting, reassign_mode,
+         num_nodes, rotation_counting)
+        for cell, (width, spec, num_nodes) in enumerate(cells)
+        for trial in range(trials)
+    ]
+    ledgers = [FlipLedger() for _ in cells]
+    walls = [0.0] * len(cells)
+    for (cell, _), ledger, wall in _map_trials(_trial_task, tasks, jobs):
+        ledgers[cell] = ledgers[cell].merge(ledger)
+        walls[cell] += wall
+    return [
+        CellResult(width, spec.tag, spec.threshold_ratio, trials, base_seed,
+                   ledgers[cell], walls[cell])
+        for cell, (width, spec, _) in enumerate(cells)
+    ]
 
 
 def run_cell(
@@ -336,57 +349,16 @@ def run_cell(
     num_nodes: Optional[int] = None,
     rotation_counting: str = PER_CASE,
 ) -> CellResult:
-    if accounting is None:
-        accounting = AccountingConfig()
-    tasks = [
-        (
-            width,
-            spec.kind.value,
-            spec.threshold_ratio,
-            trial,
-            base_seed,
-            accounting.count_pointer_rewrites,
-            accounting.count_node_relabels,
-            reassign_mode,
-            num_nodes,
-            rotation_counting,
-        )
-        for trial in range(trials)
-    ]
-    merged = FlipLedger()
-    wall_total = 0.0
-    for _, ledger, wall in _map_trials(_trial_task, tasks, jobs):
-        merged = merged.merge(ledger)
-        wall_total += wall
-    return CellResult(
-        width=width,
-        scheme_tag=spec.tag,
-        threshold_ratio=spec.threshold_ratio,
-        trials=trials,
-        base_seed=base_seed,
-        ledger=merged,
-        wall_seconds_total=wall_total,
-    )
+    (cell,) = _run_cells([(width, spec, num_nodes)], trials, base_seed,
+                         accounting, reassign_mode, jobs, rotation_counting)
+    return cell
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list:
     """Run the full (width x scheme) grid; returns CellResults in grid order."""
-    results = []
-    for width in config.widths:
-        for spec in config.schemes:
-            results.append(
-                run_cell(
-                    width,
-                    spec,
-                    config.trials,
-                    config.base_seed,
-                    config.accounting,
-                    config.reassign_mode,
-                    jobs=jobs,
-                    rotation_counting=config.rotation_counting,
-                )
-            )
-    return results
+    cells = [(width, spec, None) for width in config.widths for spec in config.schemes]
+    return _run_cells(cells, config.trials, config.base_seed, config.accounting,
+                      config.reassign_mode, jobs, config.rotation_counting)
 
 
 def compare_thresholds(
@@ -407,26 +379,17 @@ def compare_thresholds(
     """
     if num_nodes < 1:
         raise ValueError("num_nodes must be >= 1")
-    results = {}
-    for ratio in ratios:
-        ratio = Fraction(ratio)
-        threshold = Threshold.for_tree(num_nodes, ratio)
-        width = threshold.height + 2
-        cell = run_cell(
-            width,
-            SchemeSpec(SchemeKind.HART, ratio),
-            trials,
-            base_seed,
-            accounting,
-            reassign_mode,
-            jobs=jobs,
-            num_nodes=num_nodes,
-            rotation_counting=rotation_counting,
-        )
-        results[ratio] = {
+    thresholds = {r: Threshold.for_tree(num_nodes, r) for r in map(Fraction, ratios)}
+    cells = _run_cells(
+        [(t.height + 2, SchemeSpec(SchemeKind.HART, ratio), num_nodes)
+         for ratio, t in thresholds.items()],
+        trials, base_seed, accounting, reassign_mode, jobs, rotation_counting,
+    )
+    return {
+        ratio: {
             "height": threshold.height,
             "threshold": threshold.level,
-            "width": width,
+            "width": cell.width,
             "mean_flips_per_rotation": cell.mean_flips_per_rotation,
             "wall_time_seconds": cell.wall_seconds_per_trial,
             "overflow_fallbacks": cell.ledger.overflow_fallbacks,
@@ -434,7 +397,8 @@ def compare_thresholds(
             "seed": base_seed,
             "cell": cell,
         }
-    return results
+        for (ratio, threshold), cell in zip(thresholds.items(), cells)
+    }
 
 
 def _histogram_task(args):

@@ -95,7 +95,7 @@ def test_relabel_accounting_of_three_node_fixture():
 
 
 def test_identical_rotations_double_every_field():
-    event = RotationEvent("RR", 2, [("n", (0,), ())])
+    event = RotationEvent("RR", 2, (0,), [], None)
     write = WordWrite(("root",), 0, 3)
     single = FlipLedger()
     record_rotation(event, [], [write], single, AccountingConfig())
@@ -110,8 +110,8 @@ def test_identical_rotations_double_every_field():
 
 def test_ledger_merge_equals_concatenated_stream():
     acct = AccountingConfig()
-    event_a = RotationEvent("RR", 1, [("n", (0,), ())])
-    event_b = RotationEvent("LL", 3, [("n", (0,), ())])
+    event_a = RotationEvent("RR", 1, (), [], None)
+    event_b = RotationEvent("LL", 3, (0, 1), [], None)
     writes_a = [WordWrite(("root",), 0, 7)]
     writes_b = [WordWrite(("root",), 1, 2)]
 

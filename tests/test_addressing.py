@@ -230,6 +230,27 @@ def test_spare_queue_reuses_released_values_below_cursor():
     assert space.allocate_lowest_free("d") == 7
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("cral"), st.integers(0, 15)), max_size=100))
+def test_spare_queue_matches_brute_force_lowest_free(ops):
+    """Random claim / release / spare / linear sequences: every spare
+    allocation is the lowest free value, and the heap of freed values
+    only ever holds values below the scan cursor."""
+    space = AddressSpace(4)  # values 0..14, 15 is null
+    for op, pick in ops:
+        free = [v for v in range(space.null_word) if v not in space.occupied]
+        taken = sorted(space.occupied)
+        if op == "c" and free:
+            space.claim(free[pick % len(free)], "n")
+        elif op == "r" and taken:
+            space.release(taken[pick % len(taken)])
+        elif op == "a" and free:
+            assert space.allocate_lowest_free("n") == free[0]
+        elif op == "l" and free and free[-1] >= space.next_linear:
+            space.allocate_next_linear("n")
+        assert all(v < space._cursor for v in space._freed)
+
+
 def test_claim_rejects_null_and_occupied():
     space = AddressSpace(3)
     space.claim(5, "a")

@@ -213,6 +213,16 @@ def test_incremental_equals_full_pass_address_maps():
             assert runners[0].ledger.total_flips == runners[1].ledger.total_flips
 
 
+def test_spare_heap_keeps_only_values_below_cursor_after_a_trial():
+    """A value released at or above the spare scan cursor is found by the
+    scan itself, so it never enters the heap of freed values."""
+    runner = make_runner(SchemeKind.HART, 12, ratio=Fraction(1, 2), n=1023)
+    feed(runner, gen_dataset(1023, 1))
+    space = runner.assigner.space
+    assert space.spare_allocations > 0
+    assert all(value < space._cursor for value in space._freed)
+
+
 def test_full_pass_is_idempotent():
     runner = make_runner(SchemeKind.DFAT_GRAY, 8, n=63, mode=FULL_PASS)
     feed(runner, gen_dataset(63, 2))

@@ -177,6 +177,38 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
     assert all(seen.values()), seen
 
 
+def _moved_keys(event):
+    return [(node.key, old, new) for node, old, new in event.moved]
+
+
+def test_moved_read_after_insert_matches_read_at_rotation():
+    """``moved`` is walked on first read.  Read once ``insert`` has
+    returned, after both halves of a double, it equals the list read
+    inside ``on_rotation`` on a twin tree built from the same keys."""
+    doubles = 0
+    for seed in range(3):
+        at_rotation, after_insert = AvlTree(), AvlTree()
+        for key in gen_dataset(300, seed):
+            inside = []
+            at_rotation.insert(key, on_rotation=lambda e: inside.append(_moved_keys(e)))
+            events = after_insert.insert(key)
+            assert [_moved_keys(e) for e in events] == inside
+            doubles += len(events) == 2
+    assert doubles
+
+
+def test_moved_first_read_after_next_insert_raises():
+    tree, _ = build_tree([1, 2])
+    (stale,) = tree.insert(3)  # RR at the root
+    tree.insert(4)
+    with pytest.raises(RuntimeError, match="next insert"):
+        stale.moved
+    (read,) = tree.insert(5)  # RR at node 3
+    walked = read.moved
+    tree.insert(6)
+    assert read.moved is walked  # a list read in time stays readable
+
+
 def _iter_subtree(node):
     stack = [node]
     while stack:

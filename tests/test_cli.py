@@ -268,6 +268,22 @@ def test_bench_matches_committed_golden(tmp_path, name, flags):
         assert got == handle.read()
 
 
+@pytest.mark.parametrize("counting", ["per-case", "decomposed"])
+def test_rotations_matches_committed_golden(tmp_path, counting):
+    """Each width's series of a fixed-seed run, concatenated in width
+    order, is byte-identical to the committed output."""
+    code = main([
+        "rotations", "--bits", "8-12", "--trials", "20", "--seed", "7",
+        "--rotation-counting", counting, "--output-dir", str(tmp_path),
+    ])
+    assert code == 0
+    got = "".join(
+        (tmp_path / f"rotations_bits{width}.csv").read_text()
+        for width in range(8, 13)
+    )
+    assert got == (GOLDEN / f"rotations_bits8-12_seed7_{counting}.csv").read_text()
+
+
 def test_rotations_width_without_rotations(tmp_path, capsys):
     code = main([
         "rotations", "--bits", "3", "--trials", "2", "--output-dir", str(tmp_path),

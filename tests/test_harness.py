@@ -20,6 +20,7 @@ from hartsim.harness import (
     nodes_for_width,
     rotations_histogram,
     run_cell,
+    run_experiment,
     run_trial,
     scheme_seed,
 )
@@ -119,6 +120,19 @@ def test_run_cell_parallel_matches_serial():
     parallel = run_cell(8, spec, trials=6, base_seed=2, jobs=2)
     assert serial.ledger == parallel.ledger
     assert serial.mean_flips_per_rotation == parallel.mean_flips_per_rotation
+
+
+def test_run_experiment_one_pool_matches_serial_and_per_cell_runs():
+    schemes = [SchemeSpec(SchemeKind.DFAT_GRAY), SchemeSpec(SchemeKind.HART, Fraction(1, 2))]
+    config = ExperimentConfig(widths=[8, 9], schemes=schemes, trials=3, base_seed=4)
+    serial = run_experiment(config, jobs=1)
+    parallel = run_experiment(config, jobs=2)
+    grid = [(width, spec) for width in (8, 9) for spec in schemes]
+    assert [(c.width, c.scheme_tag) for c in parallel] == [(w, s.tag) for w, s in grid]
+    assert [c.ledger for c in serial] == [c.ledger for c in parallel]
+    assert [c.ledger for c in serial] == [
+        run_cell(width, spec, trials=3, base_seed=4).ledger for width, spec in grid
+    ]
 
 
 def test_compare_thresholds_structure():
