@@ -3,14 +3,9 @@ bit-flip-limited (phase-change) memory."""
 
 from .accounting import (
     AccountingConfig,
-    AddressWord,
     FlipLedger,
-    UndefinedMetricError,
-    WidthMismatchError,
     WordWrite,
     bit_flips,
-    hamming,
-    mean_flips_per_rotation,
     record_rotation,
 )
 from .addressing import (

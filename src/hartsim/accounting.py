@@ -25,41 +25,11 @@ from dataclasses import dataclass, field
 from .avl import ROOT_SLOT, RotationEvent  # noqa: F401  (ROOT_SLOT re-exported)
 
 
-class WidthMismatchError(ValueError):
-    """Hamming distance is only defined for words of equal width."""
-
-
-class UndefinedMetricError(ValueError):
-    """A per-rotation metric was requested but no rotation happened."""
-
-
-@dataclass(frozen=True)
-class AddressWord:
-    """Fixed-width unsigned word."""
-
-    value: int
-    width: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(
-                f"value {self.value} out of range for {self.width} bits"
-            )
-
-
 def bit_flips(old: int, new: int) -> int:
     """Number of differing bit positions between two word values."""
     return (old ^ new).bit_count()
 
 
-def hamming(a: AddressWord, b: AddressWord) -> int:
-    """Hamming distance between two equal-width words."""
-    if a.width != b.width:
-        raise WidthMismatchError(f"width {a.width} != {b.width}")
-    return bit_flips(a.value, b.value)
-
-
-@dataclass(frozen=True)
 class WordWrite:
     """One recorded word rewrite; no-op writes are never recorded.
 
@@ -67,13 +37,14 @@ class WordWrite:
     for the root pointer, or ("label", node) for a node relabel.
     """
 
-    location: tuple
-    old: int
-    new: int
+    __slots__ = ("location", "old", "new")
 
-    def __post_init__(self):
-        if self.old == self.new:
+    def __init__(self, location: tuple, old: int, new: int):
+        if old == new:
             raise ValueError("no-op write recorded")
+        self.location = location
+        self.old = old
+        self.new = new
 
 
 @dataclass
@@ -140,8 +111,3 @@ def record_rotation(
         ledger.flips_per_level[level] = ledger.flips_per_level.get(level, 0) + flips
     return ledger
 
-
-def mean_flips_per_rotation(ledger: FlipLedger) -> float:
-    if ledger.total_rotations == 0:
-        raise UndefinedMetricError("no rotations recorded")
-    return ledger.total_flips / ledger.total_rotations

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .avl import LEFT, RIGHT, ROOT_LEVEL, AvlTree, Path
+from .avl import LEFT, RIGHT, AvlTree, Path
 
 
 class CapacityError(RuntimeError):
@@ -292,11 +293,18 @@ class AddressAssigner:
         self.records: dict = {}
         self.overflow_fallbacks = 0
         self.indexed_nodes = 0  # positional indices computed by _rebind
+        # Nodes at depths below the cutoff take linear addresses; a
+        # linear tree gets deeper than its width, so its cutoff is unbounded.
+        self.linear_cutoff = sys.maxsize if config.kind is SchemeKind.LINEAR else 0
         self.threshold: Optional[Threshold] = None
         if config.kind is SchemeKind.HART:
             if num_nodes is None:
                 raise ValueError("hart needs num_nodes to derive its threshold")
             self.threshold = Threshold.for_tree(num_nodes, config.threshold_ratio)
+            self.linear_cutoff = self.threshold.level
+        # Linear and random addresses stay with their node for good.
+        self.identity_bound = config.kind in (SchemeKind.LINEAR, SchemeKind.RANDOM)
+        self._rank = level_order_index if config.kind is SchemeKind.GRAY else dfat_index
         self._rng = None
         self._free_pool = None
         if config.kind is SchemeKind.RANDOM:
@@ -309,24 +317,6 @@ class AddressAssigner:
 
     def record_of(self, node) -> AddressRecord:
         return self.records[node]
-
-    def _is_linear_level(self, level: int) -> bool:
-        kind = self.config.kind
-        if kind is SchemeKind.LINEAR:
-            return True
-        if kind is SchemeKind.HART:
-            return level <= self.threshold.level
-        return False
-
-    def _positional_target(self, path: Path) -> int:
-        """Canonical address for a position; -1 past the depth capacity."""
-        if len(path) >= self.depth_capacity:
-            return -1
-        if self.config.kind is SchemeKind.GRAY:
-            index = level_order_index(path, self.depth_capacity)
-        else:
-            index = dfat_index(path, self.depth_capacity)
-        return binary_to_gray(index, self.width)
 
     # -- insertion -----------------------------------------------------
     def assign_on_insert(self, node, path: Path) -> int:
@@ -342,27 +332,32 @@ class AddressAssigner:
             self.records[node] = AddressRecord(value, SOURCE_RANDOM, 0)
             return value
 
-        level = len(path) + ROOT_LEVEL
-        if self._is_linear_level(level):
+        depth = len(path)
+        if depth < self.linear_cutoff:
             value = self.space.allocate_next_linear(node)
             self.records[node] = AddressRecord(value, SOURCE_LINEAR, 0)
             return value
 
-        value, source, pos = self._claim(node, path, self._positional_target(path))
+        target = -1  # depth overflow: no representable target
+        if depth < self.depth_capacity:
+            index = self._rank(path, self.depth_capacity)
+            target = index ^ (index >> 1)
+            occupied = self.space.occupied
+            if target < self.space.null_word and target not in occupied:
+                occupied[target] = node
+                self.records[node] = AddressRecord(target, SOURCE_POSITIONAL, 0)
+                return target
+        value, source, pos = self._spare(node, path, target)
         self.records[node] = AddressRecord(value, source, pos)
         return value
 
-    def _claim(self, node, path: Path, target: int):
-        """Claim ``target``, else the spare queue; returns (address,
-        source, bound position).  A target of -1 is a depth overflow.
+    def _spare(self, node, path: Path, target: int):
+        """Spare-queue binding for a node whose ``target`` is taken (or
+        -1, a depth overflow); returns (address, source, bound position).
         Only a spare binding records its position."""
-        space = self.space
-        if space.is_free(target):
-            space.occupied[target] = node
-            return target, SOURCE_POSITIONAL, 0
         if target < 0:
             self.overflow_fallbacks += 1
-        return space.allocate_lowest_free(node), SOURCE_SPARE, position_id(path)
+        return self.space.allocate_lowest_free(node), SOURCE_SPARE, position_id(path)
 
     # -- re-assignment after rotations ----------------------------------
     def rebind_moved(self, moved) -> list:
@@ -402,14 +397,12 @@ class AddressAssigner:
         :attr:`indexed_nodes`; tests cover the equivalence of the inlined
         arithmetic with :func:`dfat_index` and :func:`level_order_index`.
         """
-        kind = self.config.kind
-        if kind in (SchemeKind.LINEAR, SchemeKind.RANDOM):
+        if self.identity_bound:
             return []
         records = self.records
         space = self.space
-        # Levels <= cutoff (depths < cutoff) belong to the linear region.
-        cutoff = self.threshold.level if kind is SchemeKind.HART else 0
-        use_level_order = kind is SchemeKind.GRAY
+        cutoff = self.linear_cutoff
+        use_level_order = self.config.kind is SchemeKind.GRAY
         capacity = self.depth_capacity
         # Nodes deeper than ``scratch`` take their index from the parent.
         scratch = max(cutoff, len(entries[0][1])) if derive else capacity
@@ -464,7 +457,6 @@ class AddressAssigner:
         self.indexed_nodes += indexed
 
         relabels = []
-        claim = self._claim
         occupied = space.occupied
         null_word = space.null_word
         for node, path, rec, target in changers:
@@ -472,10 +464,10 @@ class AddressAssigner:
             if target is None:
                 value, source, pos = space.allocate_next_linear(node), SOURCE_LINEAR, 0
             elif 0 <= target < null_word and target not in occupied:
-                occupied[target] = node  # the common case of _claim, inlined
+                occupied[target] = node
                 value, source, pos = target, SOURCE_POSITIONAL, 0
             else:
-                value, source, pos = claim(node, path, target)
+                value, source, pos = self._spare(node, path, target)
             rec.addr = value
             rec.source = source
             rec.bound_pos = pos

@@ -71,14 +71,11 @@ def scheme_seed(base_seed: int, width: int, tag: str, ratio, trial: int) -> int:
 
 
 def gen_dataset(n: int, seed: int) -> list:
-    """Uniform permutation of 0..n-1 via a seeded swap shuffle."""
+    """Uniform permutation of 0..n-1 via a seeded Fisher-Yates shuffle."""
     if n < 1:
         raise ValueError("n must be >= 1")
     items = list(range(n))
-    rng = random.Random(seed)
-    for i in range(n - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        items[i], items[j] = items[j], items[i]
+    random.Random(seed).shuffle(items)
     return items
 
 
@@ -164,6 +161,8 @@ class TrialRunner:
         old_words = [records[old].addr for _, old, _ in rewired]
         if self.reassign_mode == FULL_PASS:
             relabels = self.assigner.full_pass(self.tree)
+        elif self.assigner.identity_bound:
+            relabels = []  # no moved set to walk: nothing is re-addressed
         else:
             relabels = self.assigner.rebind_moved(event.moved)
         # A pointer rewrite is a slot that points at a *different* node

@@ -30,6 +30,7 @@ from hartsim.cli import main as cli_main
 from hartsim.harness import (
     FULL_PASS,
     INCREMENTAL,
+    ExperimentConfig,
     SchemeSpec,
     TrialRunner,
     dataset_seed,
@@ -37,6 +38,7 @@ from hartsim.harness import (
     nodes_for_width,
     rotations_histogram,
     run_cell,
+    run_experiment,
 )
 from test_accounting import run_with_snapshot_oracle
 
@@ -219,22 +221,22 @@ FLIP_TRIALS = 100
 
 @pytest.fixture(scope="module")
 def flip_means():
-    needed = set()
-    for width in range(8, 15):
-        for spec in (
+    grids = (
+        (range(8, 15), [
             SchemeSpec(SchemeKind.DFAT_GRAY),
             SchemeSpec(SchemeKind.HART, Fraction(1, 4)),
             SchemeSpec(SchemeKind.HART, Fraction(1, 2)),
             SchemeSpec(SchemeKind.HART, Fraction(3, 4)),
-        ):
-            needed.add((width, spec))
-    for width in (10, 12, 14):
-        needed.add((width, SchemeSpec(SchemeKind.RANDOM)))
-        needed.add((width, SchemeSpec(SchemeKind.LINEAR)))
+        ]),
+        ((10, 12, 14), [SchemeSpec(SchemeKind.RANDOM), SchemeSpec(SchemeKind.LINEAR)]),
+    )
     means = {}
-    for width, spec in sorted(needed, key=lambda ws: (ws[0], ws[1].tag, str(ws[1].threshold_ratio))):
-        cell = run_cell(width, spec, FLIP_TRIALS, BASE_SEED, jobs=JOBS)
-        means[(width, spec.tag, spec.threshold_ratio)] = cell.mean_flips_per_rotation
+    for widths, specs in grids:
+        config = ExperimentConfig(list(widths), specs, FLIP_TRIALS, BASE_SEED)
+        for cell in run_experiment(config, jobs=JOBS):
+            means[(cell.width, cell.scheme_tag, cell.threshold_ratio)] = (
+                cell.mean_flips_per_rotation
+            )
     return means
 
 

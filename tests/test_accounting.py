@@ -5,14 +5,9 @@ import pytest
 from conftest import full_snapshot, snapshot_flip_diff
 from hartsim.accounting import (
     AccountingConfig,
-    AddressWord,
     FlipLedger,
-    UndefinedMetricError,
-    WidthMismatchError,
     WordWrite,
     bit_flips,
-    hamming,
-    mean_flips_per_rotation,
     record_rotation,
 )
 from hartsim.addressing import SchemeConfig, SchemeKind
@@ -24,24 +19,6 @@ from hartsim.harness import (
     gen_dataset,
     nodes_for_width,
 )
-
-
-def test_hamming_examples():
-    assert hamming(AddressWord(0b1010, 4), AddressWord(0b1010, 4)) == 0
-    assert hamming(AddressWord(0b0000, 4), AddressWord(0b1111, 4)) == 4
-    assert hamming(AddressWord(5, 3), AddressWord(6, 3)) == 2
-
-
-def test_hamming_width_mismatch():
-    with pytest.raises(WidthMismatchError):
-        hamming(AddressWord(1, 3), AddressWord(1, 4))
-
-
-def test_address_word_range_checked():
-    with pytest.raises(ValueError):
-        AddressWord(8, 3)
-    with pytest.raises(ValueError):
-        AddressWord(-1, 3)
 
 
 def test_word_write_rejects_noop():
@@ -138,15 +115,6 @@ def test_ledger_level_sums_match_totals():
     ledger = runner.ledger
     assert sum(ledger.rotations_per_level.values()) == ledger.total_rotations
     assert sum(ledger.flips_per_level.values()) == ledger.total_flips
-
-
-def test_mean_flips_per_rotation():
-    ledger = FlipLedger(total_flips=0, total_rotations=5)
-    assert mean_flips_per_rotation(ledger) == 0
-    ledger = FlipLedger(total_flips=7, total_rotations=5)
-    assert mean_flips_per_rotation(ledger) == pytest.approx(1.4)
-    with pytest.raises(UndefinedMetricError):
-        mean_flips_per_rotation(FlipLedger())
 
 
 def test_bit_flips():

@@ -10,11 +10,12 @@ from hartsim.addressing import (
     SchemeKind,
     SOURCE_LINEAR,
     SOURCE_POSITIONAL,
+    SOURCE_RANDOM,
     SOURCE_SPARE,
     binary_to_gray,
     dfat_index,
 )
-from hartsim.avl import AvlTree
+from hartsim.avl import AvlTree, RotationEvent
 from hartsim.harness import (
     FULL_PASS,
     INCREMENTAL,
@@ -53,6 +54,48 @@ def test_linear_and_random_never_relabel():
         feed(runner, gen_dataset(80, 11))
         assert relabel_batches, "workload produced no rotations"
         assert all(batch == [] for batch in relabel_batches)
+
+
+@pytest.mark.parametrize("mode", [INCREMENTAL, FULL_PASS])
+@pytest.mark.parametrize(
+    "kind, source", [(SchemeKind.LINEAR, SOURCE_LINEAR), (SchemeKind.RANDOM, SOURCE_RANDOM)]
+)
+def test_identity_bound_addresses_hold_deeper_than_the_pointer_width(kind, source, mode):
+    """Width 8 with 250 nodes grows AVL nodes deeper than the width; a
+    linear or random node keeps its insert-time address and source at
+    any depth, to the end of the trial."""
+    deepest = 0
+    for seed in (3, 4, 6, 7, 8):
+        runner = make_runner(kind, 8, n=250, mode=mode, seed=seed)
+        assigner = runner.assigner
+        at_insert = {}
+        assign = assigner.assign_on_insert
+
+        def spy(node, path):
+            value = assign(node, path)
+            at_insert[node] = (value, assigner.records[node].source)
+            return value
+
+        assigner.assign_on_insert = spy
+        feed(runner, gen_dataset(250, seed))
+        assert runner.ledger.total_rotations > 0
+        for node, path in runner.tree.nodes_with_paths():
+            deepest = max(deepest, len(path))
+            value, insert_source = at_insert[node]
+            assert insert_source == source
+            rec = assigner.record_of(node)
+            assert (rec.addr, rec.source) == (value, source)
+    assert deepest > 8, "no node got deeper than the pointer width"
+
+
+@pytest.mark.parametrize("kind", [SchemeKind.LINEAR, SchemeKind.RANDOM])
+def test_identity_bound_incremental_trial_never_walks_the_moved_set(kind, monkeypatch):
+    def walked(event):
+        raise AssertionError("moved set walked")
+
+    monkeypatch.setattr(RotationEvent, "moved", property(walked))
+    runner = feed(make_runner(kind, 8, n=63), gen_dataset(63, 5))
+    assert runner.ledger.total_rotations > 0
 
 
 def test_random_is_seed_deterministic_and_unique():

@@ -1,7 +1,10 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import SchemeConfig, SchemeKind
@@ -38,6 +41,22 @@ def test_gen_dataset_determinism_and_permutation():
     assert a != c
     big = gen_dataset(10_000, 3)
     assert sorted(big) == list(range(10_000))
+
+
+def _swap_shuffle(n, seed):
+    """Reference: the explicit swap loop that Random.shuffle must reproduce."""
+    items = list(range(n))
+    rng = random.Random(seed)
+    for i in range(n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(n=st.integers(1, 4095), seed=st.integers(0, 2**64 - 1))
+def test_gen_dataset_matches_the_swap_loop(n, seed):
+    assert gen_dataset(n, seed) == _swap_shuffle(n, seed)
 
 
 def test_gen_dataset_rejects_empty():
