@@ -67,24 +67,21 @@ def dfat_index(path: Path, depth_capacity: int) -> int:
 
     The complete binary tree of ``depth_capacity`` levels is traversed
     depth-first visiting the Left child first at even depths and the
-    Right child first at odd depths.  The rank is accumulated in
-    O(len(path)) by skipping whole first-child subtrees: stepping to the
-    first-visited child adds 1, stepping to the second adds the skipped
-    subtree size plus one, i.e. 2**(levels remaining below the parent).
+    Right child first at odd depths.  Stepping to the first-visited
+    child adds 1 to the rank; stepping to the second skips the whole
+    first-child subtree and adds 2**(levels remaining below the parent).
+    With ``x`` the steps to a second-visited child as bits, that sum is
+    depth - popcount(x) + (x << (capacity - depth)).
     """
     depth = len(path)
     if depth >= depth_capacity:
         raise DepthOverflowError(
             f"depth {depth} exceeds capacity of {depth_capacity} levels"
         )
-    rank = 0
-    for i, step in enumerate(path):
-        first = LEFT if (i & 1) == 0 else RIGHT
-        if step == first:
-            rank += 1
-        else:
-            rank += 1 << (depth_capacity - 1 - i)
-    return rank
+    # XOR with 0b...0101 strips the leading 1 and flips the odd depths,
+    # whose first-visited child is Right.
+    x = position_id(path) ^ (((4 << depth) - 1) // 3)
+    return depth - x.bit_count() + (x << (depth_capacity - depth))
 
 
 def level_order_index(path: Path, depth_capacity: int) -> int:
@@ -99,12 +96,12 @@ def level_order_index(path: Path, depth_capacity: int) -> int:
     return pos - 1
 
 
+_STEP_DIGITS = bytes.maketrans(bytes((LEFT, RIGHT)), b"01")
+
+
 def position_id(path: Path) -> int:
     """Depth-independent identifier of a tree position (1-based heap id)."""
-    pos = 1
-    for step in path:
-        pos = (pos << 1) | step
-    return pos
+    return int(b"1" + bytes(path).translate(_STEP_DIGITS), 2)
 
 
 # ----------------------------------------------------------------------
@@ -121,10 +118,7 @@ def threshold_from_ratio(height: int, ratio) -> int:
     """max(1, round(height * ratio)), rounding half away from zero."""
     if height < 1:
         raise ValueError("height must be >= 1")
-    frac = Fraction(ratio)
-    if not 0 < frac <= 1:
-        raise ValueError(f"ratio {ratio} outside (0, 1]")
-    return max(1, int(frac * height + Fraction(1, 2)))
+    return max(1, int(check_ratio(SchemeKind.HART, ratio) * height + Fraction(1, 2)))
 
 
 @dataclass(frozen=True)
@@ -154,7 +148,19 @@ class SchemeKind(str, Enum):
         return self.value
 
 
-SCHEME_TAGS = tuple(kind.value for kind in SchemeKind)
+def check_ratio(kind: SchemeKind, ratio) -> Optional[Fraction]:
+    """The threshold ratio a scheme takes, as a Fraction: hart needs one
+    in (0, 1], every other scheme takes none."""
+    if kind is not SchemeKind.HART:
+        if ratio is not None:
+            raise ValueError(f"{kind.value} does not take a ratio")
+        return None
+    if ratio is None:
+        raise ValueError("hart requires a threshold_ratio")
+    frac = Fraction(ratio)
+    if not 0 < frac <= 1:
+        raise ValueError(f"ratio {ratio} outside (0, 1]")
+    return frac
 
 
 @dataclass(frozen=True)
@@ -167,13 +173,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.pointer_width < 2:
             raise ValueError("pointer_width must be at least 2 bits")
-        if self.kind is SchemeKind.HART:
-            if self.threshold_ratio is None:
-                raise ValueError("hart requires a threshold_ratio")
-            ratio = Fraction(self.threshold_ratio)
-            if not 0 < ratio <= 1:
-                raise ValueError(f"ratio {ratio} outside (0, 1]")
-            object.__setattr__(self, "threshold_ratio", ratio)
+        ratio = check_ratio(self.kind, self.threshold_ratio)
+        object.__setattr__(self, "threshold_ratio", ratio)
 
     @property
     def tag(self) -> str:
@@ -306,10 +307,12 @@ class AddressAssigner:
         self.identity_bound = config.kind in (SchemeKind.LINEAR, SchemeKind.RANDOM)
         self._rank = level_order_index if config.kind is SchemeKind.GRAY else dfat_index
         self._rng = None
-        self._free_pool = None
+        # Sparse Fisher-Yates: the random pool is the identity over its
+        # first ``_left`` slots except where ``_swapped`` says otherwise.
+        self._left = self.space.null_word
+        self._swapped: dict = {}
         if config.kind is SchemeKind.RANDOM:
             self._rng = random.Random(config.seed)
-            self._free_pool = list(range(self.space.null_word))
 
     # -- queries -------------------------------------------------------
     def address_of(self, node) -> int:
@@ -322,12 +325,17 @@ class AddressAssigner:
     def assign_on_insert(self, node, path: Path) -> int:
         kind = self.config.kind
         if kind is SchemeKind.RANDOM:
-            pool = self._free_pool
-            if not pool:
+            left = self._left
+            if not left:
                 raise CapacityError("no free address for random draw")
-            i = self._rng.randrange(len(pool))
-            pool[i], pool[-1] = pool[-1], pool[i]
-            value = pool.pop()
+            i = self._rng.randrange(left)
+            left -= 1
+            self._left = left
+            swapped = self._swapped
+            value = swapped.get(i, i)
+            last = swapped.pop(left, left)
+            if i != left:
+                swapped[i] = last
             self.space.claim(value, node)
             self.records[node] = AddressRecord(value, SOURCE_RANDOM, 0)
             return value
@@ -388,14 +396,14 @@ class AddressAssigner:
         in the same order.  Freeing first keeps a rotation from colliding
         with addresses its own moved set is about to give up.
 
-        The full pass computes each index from scratch (the per-node cost
-        that mode measures).  With ``derive`` an index follows in O(1)
-        from the parent's, the latest node seen one level up: DFAT adds 1
-        or 2**(capacity - depth), level order maps r to 2r + 1 + step.
+        The full pass computes each index from scratch with the
+        scheme's rank function (the per-node cost that mode measures).
+        With ``derive`` an index follows in O(1) from the parent's, the
+        latest node seen one level up: DFAT adds 1 or
+        2**(capacity - depth), level order maps r to 2r + 1 + step.
         Only the subtree root and nodes just below the linear region
         start from scratch.  Each index computed adds one to
-        :attr:`indexed_nodes`; tests cover the equivalence of the inlined
-        arithmetic with :func:`dfat_index` and :func:`level_order_index`.
+        :attr:`indexed_nodes`.
         """
         if self.identity_bound:
             return []
@@ -403,6 +411,7 @@ class AddressAssigner:
         space = self.space
         cutoff = self.linear_cutoff
         use_level_order = self.config.kind is SchemeKind.GRAY
+        rank = self._rank
         capacity = self.depth_capacity
         # Nodes deeper than ``scratch`` take their index from the parent.
         scratch = max(cutoff, len(entries[0][1])) if derive else capacity
@@ -432,18 +441,8 @@ class AddressAssigner:
                         index = parent + 1
                     else:
                         index = parent + (1 << (capacity - depth))
-                elif use_level_order:
-                    index = 1
-                    for step in path:
-                        index = (index << 1) | step
-                    index -= 1
                 else:
-                    index = 0
-                    for i, step in enumerate(path):
-                        if step == (i & 1):
-                            index += 1
-                        else:
-                            index += 1 << (capacity - 1 - i)
+                    index = rank(path, capacity)
                 ranks[depth] = index
                 target = index ^ (index >> 1)
             if rec.addr == target:

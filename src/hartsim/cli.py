@@ -24,6 +24,7 @@ from .addressing import (
     SchemeConfig,
     SchemeKind,
     Threshold,
+    check_ratio,
     dfat_index,
     DepthOverflowError,
     SOURCE_LINEAR,
@@ -86,6 +87,15 @@ def single_width(args) -> int:
     return widths[0]
 
 
+def tree_size(args) -> int:
+    """The node count given by ``--nodes`` or by the one width of ``--bits``."""
+    if args.nodes is not None:
+        return args.nodes
+    if args.bits is None:
+        raise ValueError("give --nodes or --bits")
+    return nodes_for_width(single_width(args))
+
+
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -94,10 +104,7 @@ def positive_int(text: str) -> int:
 
 
 def parse_ratio(text: str) -> Fraction:
-    ratio = Fraction(text)
-    if not 0 < ratio <= 1:
-        raise ValueError(f"ratio {text} outside (0, 1]")
-    return ratio
+    return check_ratio(SchemeKind.HART, text)
 
 
 def parse_schemes(text: str, ratio: Fraction) -> list:
@@ -174,27 +181,19 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare_thresholds(args) -> int:
-    if args.nodes is None and args.bits is None:
-        raise ValueError("give --nodes or --bits")
-    if args.nodes is not None:
-        num_nodes = args.nodes
-        if num_nodes < 1:
-            raise ValueError("--nodes must be >= 1")
-    else:
-        num_nodes = nodes_for_width(single_width(args))
+    num_nodes = tree_size(args)
+    if num_nodes < 1:
+        raise ValueError("--nodes must be >= 1")
     ratios = (
         tuple(parse_ratio(text) for text in args.ratios.split(","))
         if args.ratios
         else DEFAULT_RATIOS
     )
+    thresholds = [Threshold.for_tree(num_nodes, ratio) for ratio in ratios]
     if args.emit_thresholds:
-        height = Threshold.for_tree(num_nodes, ratios[0]).height
-        levels = ", ".join(
-            f"T({ratio})={Threshold.for_tree(num_nodes, ratio).level}"
-            for ratio in ratios
-        )
-        print(f"H={height}  {levels}")
-    results = compare_thresholds(
+        levels = ", ".join(f"T({r})={t.level}" for r, t in zip(ratios, thresholds))
+        print(f"H={thresholds[0].height}  {levels}")
+    cells = compare_thresholds(
         num_nodes,
         ratios=ratios,
         trials=args.trials,
@@ -205,13 +204,13 @@ def cmd_compare_thresholds(args) -> int:
         rotation_counting=args.rotation_counting,
     )
     rows = []
-    for ratio, metrics in results.items():
-        rows.extend(rows_from_cell(metrics["cell"]))
-        mean = metrics["mean_flips_per_rotation"]
+    for cell, threshold in zip(cells, thresholds):
+        rows.extend(rows_from_cell(cell))
+        mean = cell.mean_flips_per_rotation
         print(
-            f"ratio={ratio} H={metrics['height']} T={metrics['threshold']} "
+            f"ratio={cell.threshold_ratio} H={threshold.height} T={threshold.level} "
             f"mean_flips={'n/a' if mean is None else f'{mean:.4f}'} "
-            f"wall_time_s={metrics['wall_time_seconds']:.4f}"
+            f"wall_time_s={cell.wall_seconds_per_trial:.4f}"
         )
     path = _write_rows(rows, os.path.join(_outdir(args), "thresholds"), args.out)
     print(f"wrote {path}")
@@ -253,12 +252,7 @@ _REGION_NAMES = {
 
 
 def cmd_assign_dump(args) -> int:
-    if args.nodes is not None:
-        num_nodes = args.nodes
-    elif args.bits is not None:
-        num_nodes = nodes_for_width(single_width(args))
-    else:
-        raise ValueError("give --nodes or --bits")
+    num_nodes = tree_size(args)
     if not 1 <= num_nodes <= ASSIGN_DUMP_LIMIT:
         raise ValueError(
             f"assign-dump handles 1..{ASSIGN_DUMP_LIMIT} nodes, got {num_nodes}"
@@ -319,13 +313,17 @@ def cmd_assign_dump(args) -> int:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
-def _add_common(sub) -> None:
-    sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    sub.add_argument("--seed", type=int, default=0)
+def _add_addressing(sub) -> None:
+    """Flags of the commands that address and account, not of ``rotations``."""
     sub.add_argument("--mode", choices=(INCREMENTAL, FULL_PASS), default=INCREMENTAL)
     sub.add_argument(
         "--accounting", choices=("pointer", "relabel", "both"), default="pointer"
     )
+
+
+def _add_common(sub) -> None:
+    sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument(
         "--rotation-counting", choices=(PER_CASE, DECOMPOSED), default=PER_CASE
     )
@@ -346,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--bits", required=True)
     bench.add_argument("--schemes", default="all")
     bench.add_argument("--ratio", default="0.5", help="hybrid threshold ratio")
+    _add_addressing(bench)
     _add_common(bench)
     bench.set_defaults(func=cmd_bench)
 
@@ -359,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--emit-thresholds", action="store_true",
         help="print the height estimate and threshold levels",
     )
+    _add_addressing(cmp_t)
     _add_common(cmp_t)
     cmp_t.set_defaults(func=cmd_compare_thresholds)
 

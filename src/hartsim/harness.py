@@ -29,7 +29,8 @@ from .accounting import (
     WordWrite,
     record_rotation,
 )
-from .addressing import AddressAssigner, SchemeConfig, SchemeKind, Threshold
+from .addressing import (AddressAssigner, SchemeConfig, SchemeKind, check_ratio,
+                         tree_height_estimate)
 from .avl import AvlTree
 
 INCREMENTAL = "incremental"
@@ -228,14 +229,8 @@ class SchemeSpec:
     threshold_ratio: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.kind is SchemeKind.HART:
-            if self.threshold_ratio is None:
-                raise ValueError("hart requires a threshold_ratio")
-            object.__setattr__(
-                self, "threshold_ratio", Fraction(self.threshold_ratio)
-            )
-        elif self.threshold_ratio is not None:
-            raise ValueError(f"{self.kind.value} does not take a ratio")
+        ratio = check_ratio(self.kind, self.threshold_ratio)
+        object.__setattr__(self, "threshold_ratio", ratio)
 
     @property
     def tag(self) -> str:
@@ -369,35 +364,18 @@ def compare_thresholds(
     reassign_mode: str = INCREMENTAL,
     jobs: int = 1,
     rotation_counting: str = PER_CASE,
-) -> dict:
+) -> list:
     """Run the hybrid scheme at each threshold ratio on one tree size.
 
-    Returns {ratio: metrics}, the cell's :class:`CellResult` under
-    "cell"; the pointer width is the height estimate plus two, the
-    number of bits needed to address such a tree.
+    Returns one :class:`CellResult` per ratio, in ratio order; the
+    pointer width is the height estimate plus two, the number of bits
+    needed to address such a tree.
     """
-    if num_nodes < 1:
-        raise ValueError("num_nodes must be >= 1")
-    thresholds = {r: Threshold.for_tree(num_nodes, r) for r in map(Fraction, ratios)}
-    cells = _run_cells(
-        [(t.height + 2, SchemeSpec(SchemeKind.HART, ratio), num_nodes)
-         for ratio, t in thresholds.items()],
+    width = tree_height_estimate(num_nodes) + 2
+    return _run_cells(
+        [(width, SchemeSpec(SchemeKind.HART, ratio), num_nodes) for ratio in ratios],
         trials, base_seed, accounting, reassign_mode, jobs, rotation_counting,
     )
-    return {
-        ratio: {
-            "height": threshold.height,
-            "threshold": threshold.level,
-            "width": cell.width,
-            "mean_flips_per_rotation": cell.mean_flips_per_rotation,
-            "wall_time_seconds": cell.wall_seconds_per_trial,
-            "overflow_fallbacks": cell.ledger.overflow_fallbacks,
-            "trials": trials,
-            "seed": base_seed,
-            "cell": cell,
-        }
-        for (ratio, threshold), cell in zip(thresholds.items(), cells)
-    }
 
 
 def _histogram_task(args):
@@ -423,7 +401,6 @@ def rotations_histogram(
     trials: int,
     base_seed: int = 0,
     jobs: int = 1,
-    num_nodes: Optional[int] = None,
     rotation_counting: str = PER_CASE,
 ) -> dict:
     """Average rotations per pivot level; addressing-independent."""
@@ -431,7 +408,7 @@ def rotations_histogram(
         raise ValueError("trials must be >= 1")
     if rotation_counting not in ROTATION_COUNTINGS:
         raise ValueError(f"unknown rotation counting {rotation_counting!r}")
-    n = nodes_for_width(width) if num_nodes is None else num_nodes
+    n = nodes_for_width(width)
     tasks = [(width, trial, base_seed, n, rotation_counting) for trial in range(trials)]
     totals: dict = {}
     for _, counts in _map_trials(_histogram_task, tasks, jobs):

@@ -100,6 +100,20 @@ def test_dfat_matches_traversal_oracle():
         assert ranks == list(range((1 << capacity) - 1))
 
 
+def _dfat_loop(path, capacity):
+    """Reference: one term per step, 1 or the skipped subtree plus one."""
+    return sum(1 if step == (i & 1) else 1 << (capacity - 1 - i)
+               for i, step in enumerate(path))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(path=st.lists(st.sampled_from((LEFT, RIGHT)), max_size=80).map(tuple),
+       extra=st.integers(1, 4))
+def test_dfat_closed_form_matches_the_step_loop(path, extra):
+    capacity = len(path) + extra
+    assert dfat_index(path, capacity) == _dfat_loop(path, capacity)
+
+
 def test_dfat_depth_overflow():
     with pytest.raises(DepthOverflowError):
         dfat_index((LEFT, LEFT, LEFT), 3)
@@ -193,6 +207,9 @@ def test_scheme_config_validation():
         SchemeConfig(SchemeKind.HART, 8, Fraction(3, 2))
     cfg = SchemeConfig(SchemeKind.HART, 8, 0.5)
     assert cfg.threshold_ratio == Fraction(1, 2)
+    with pytest.raises(ValueError, match="does not take a ratio"):
+        SchemeConfig(SchemeKind.LINEAR, 8, Fraction(1, 2))
+    assert SchemeConfig(SchemeKind.LINEAR, 8).threshold_ratio is None
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,16 @@
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import address_map
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import (
     AddressAssigner,
+    CapacityError,
     SchemeConfig,
     SchemeKind,
     SOURCE_LINEAR,
@@ -111,6 +116,47 @@ def test_random_is_seed_deterministic_and_unique():
     values = list(first.values())
     assert len(set(values)) == len(values)
     assert all(0 <= v < null_word for v in values)
+
+
+def _dense_draws(width, seed, draws):
+    """Reference: the whole free list, drawn by swapping with the last."""
+    rng = random.Random(seed)
+    pool = list(range((1 << width) - 1))
+    values = []
+    for _ in range(draws):
+        i = rng.randrange(len(pool))
+        pool[i], pool[-1] = pool[-1], pool[i]
+        values.append(pool.pop())
+    return values
+
+
+def _random_assigner(width, seed):
+    return AddressAssigner(SchemeConfig(SchemeKind.RANDOM, width, seed=seed))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(width=st.integers(2, 10), seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_random_sparse_draws_match_the_dense_pool(width, seed, data):
+    size = (1 << width) - 1
+    draws = data.draw(st.integers(1, size))
+    assigner = _random_assigner(width, seed)
+    values = [assigner.assign_on_insert(node, ()) for node in range(draws)]
+    assert values == _dense_draws(width, seed, draws)
+    if draws == size:  # every value drawn: the pool is empty
+        with pytest.raises(CapacityError):
+            assigner.assign_on_insert(size, ())
+
+
+def test_random_pool_memory_does_not_grow_with_the_width():
+    tracemalloc.start()
+    try:
+        assigner = _random_assigner(20, 1)
+        for node in range(1000):
+            assigner.assign_on_insert(node, ())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_dfat_gray_three_node_rotation_fixture():

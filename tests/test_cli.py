@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -313,3 +314,20 @@ def test_single_width_commands_reject_a_range(tmp_path, capsys, command):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"{command} takes a single width" in err
+
+
+@pytest.mark.parametrize("flag", [["--mode", "full-pass"], ["--accounting", "both"]])
+def test_rotations_rejects_flags_it_does_not_read(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["rotations", "--bits", "8", "--trials", "2",
+              "--output-dir", str(tmp_path)] + flag)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "rotations_bits8.csv").exists()
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out

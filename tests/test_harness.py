@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hartsim.accounting import AccountingConfig
-from hartsim.addressing import SchemeConfig, SchemeKind
+from hartsim.addressing import SchemeConfig, SchemeKind, Threshold
 from hartsim.avl import AvlTree
 from hartsim.harness import (
     DECOMPOSED,
@@ -155,22 +155,25 @@ def test_run_experiment_one_pool_matches_serial_and_per_cell_runs():
 
 
 def test_compare_thresholds_structure():
-    results = compare_thresholds(63, trials=2, base_seed=1)
-    ratios = sorted(results)
+    cells = compare_thresholds(63, trials=2, base_seed=1)
+    ratios = [cell.threshold_ratio for cell in cells]
     assert ratios == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
-    assert {results[r]["threshold"] for r in ratios} == {2, 3, 5}
-    for metrics in results.values():
-        assert metrics["height"] == 6
-        assert metrics["width"] == 8
-        assert metrics["trials"] == 2
-        assert metrics["mean_flips_per_rotation"] is not None
+    thresholds = [Threshold.for_tree(63, ratio) for ratio in ratios]
+    assert {threshold.level for threshold in thresholds} == {2, 3, 5}
+    for cell, threshold in zip(cells, thresholds):
+        assert threshold.height == 6
+        assert cell.width == 8
+        assert cell.trials == 2
+        assert cell.scheme_tag == "hart"
+        assert cell.mean_flips_per_rotation is not None
 
 
 def test_compare_thresholds_clamps_tiny_tree():
-    results = compare_thresholds(1, trials=1, base_seed=0)
-    for metrics in results.values():
-        assert metrics["threshold"] == 1
-        assert metrics["mean_flips_per_rotation"] is None  # no rotations
+    cells = compare_thresholds(1, trials=1, base_seed=0)
+    assert len(cells) == 3
+    for cell in cells:
+        assert Threshold.for_tree(1, cell.threshold_ratio).level == 1
+        assert cell.mean_flips_per_rotation is None  # no rotations
 
 
 def test_experiment_config_validation():
@@ -184,6 +187,13 @@ def test_experiment_config_validation():
         )
     with pytest.raises(ValueError):
         SchemeSpec(SchemeKind.LINEAR, Fraction(1, 2))
+    with pytest.raises(ValueError, match="outside"):
+        SchemeSpec(SchemeKind.HART, Fraction(3, 2))
+    with pytest.raises(ValueError, match="outside"):
+        SchemeSpec(SchemeKind.HART, 0)
+    with pytest.raises(ValueError):
+        SchemeSpec(SchemeKind.HART)  # missing ratio
+    assert SchemeSpec(SchemeKind.HART, 0.5).threshold_ratio == Fraction(1, 2)
 
 
 def test_balanced_insertion_order_builds_without_rotations():
