@@ -150,14 +150,15 @@ class SchemeKind(str, Enum):
 
 def check_ratio(kind: SchemeKind, ratio) -> Optional[Fraction]:
     """The threshold ratio a scheme takes, as a Fraction: hart needs one
-    in (0, 1], every other scheme takes none."""
+    in (0, 1], every other scheme takes none.  A float is read as its
+    shortest decimal, so 0.3 is 3/10 as the text "0.3" is."""
     if kind is not SchemeKind.HART:
         if ratio is not None:
             raise ValueError(f"{kind.value} does not take a ratio")
         return None
     if ratio is None:
         raise ValueError("hart requires a threshold_ratio")
-    frac = Fraction(ratio)
+    frac = Fraction(str(ratio) if isinstance(ratio, float) else ratio)
     if not 0 < frac <= 1:
         raise ValueError(f"ratio {ratio} outside (0, 1]")
     return frac
@@ -287,9 +288,7 @@ class AddressAssigner:
     def __init__(self, config: SchemeConfig, num_nodes: Optional[int] = None):
         self.config = config
         width = config.pointer_width
-        self.width = width
-        # Positional index capacity in levels; one address bit per level.
-        self.depth_capacity = width
+        self.width = width  # also the rank capacity in levels: one bit per level
         self.space = AddressSpace(width)
         self.records: dict = {}
         self.overflow_fallbacks = 0
@@ -313,13 +312,6 @@ class AddressAssigner:
         self._swapped: dict = {}
         if config.kind is SchemeKind.RANDOM:
             self._rng = random.Random(config.seed)
-
-    # -- queries -------------------------------------------------------
-    def address_of(self, node) -> int:
-        return self.records[node].addr
-
-    def record_of(self, node) -> AddressRecord:
-        return self.records[node]
 
     # -- insertion -----------------------------------------------------
     def assign_on_insert(self, node, path: Path) -> int:
@@ -347,8 +339,8 @@ class AddressAssigner:
             return value
 
         target = -1  # depth overflow: no representable target
-        if depth < self.depth_capacity:
-            index = self._rank(path, self.depth_capacity)
+        if depth < self.width:
+            index = self._rank(path, self.width)
             target = index ^ (index >> 1)
             occupied = self.space.occupied
             if target < self.space.null_word and target not in occupied:
@@ -412,7 +404,7 @@ class AddressAssigner:
         cutoff = self.linear_cutoff
         use_level_order = self.config.kind is SchemeKind.GRAY
         rank = self._rank
-        capacity = self.depth_capacity
+        capacity = self.width
         # Nodes deeper than ``scratch`` take their index from the parent.
         scratch = max(cutoff, len(entries[0][1])) if derive else capacity
         ranks = [0] * capacity  # index of the latest node seen per depth

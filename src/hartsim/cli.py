@@ -11,8 +11,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from fractions import Fraction
@@ -26,9 +24,7 @@ from .addressing import (
     Threshold,
     check_ratio,
     dfat_index,
-    DepthOverflowError,
     SOURCE_LINEAR,
-    SOURCE_POSITIONAL,
     SOURCE_RANDOM,
     SOURCE_SPARE,
 )
@@ -45,7 +41,7 @@ from .harness import (
     balanced_insertion_order,
     compare_thresholds,
     nodes_for_width,
-    rotations_histogram,
+    rotations_histograms,
     run_experiment,
 )
 from .report import (
@@ -131,17 +127,13 @@ def accounting_from_flag(value: str) -> AccountingConfig:
     return AccountingConfig(True, True)
 
 
-def _outdir(args) -> str:
+def _write_file(args, name, write, *table) -> str:
+    """Write one table to ``<--output-dir>/<name>.<--out>`` with a
+    ``report`` writer; return the path."""
     os.makedirs(args.output_dir, exist_ok=True)
-    return args.output_dir
-
-
-def _write_rows(rows, path_base, fmt):
-    path = f"{path_base}.{fmt}"
-    if fmt == "csv":
-        write_rows_csv(rows, path)
-    else:
-        write_rows_json(rows, path)
+    path = os.path.join(args.output_dir, f"{name}.{args.out}")
+    with open(path, "w", newline="") as handle:
+        write(handle, *table)
     return path
 
 
@@ -163,7 +155,8 @@ def cmd_bench(args) -> int:
     )
     cells = run_experiment(config, jobs=args.jobs)
     rows = [row for cell in cells for row in rows_from_cell(cell)]
-    path = _write_rows(rows, os.path.join(_outdir(args), "bench"), args.out)
+    write = write_rows_csv if args.out == "csv" else write_rows_json
+    path = _write_file(args, "bench", write, rows)
     for cell in cells:
         mean = cell.mean_flips_per_rotation
         mean_text = "n/a" if mean is None else f"{mean:.4f}"
@@ -212,31 +205,28 @@ def cmd_compare_thresholds(args) -> int:
             f"mean_flips={'n/a' if mean is None else f'{mean:.4f}'} "
             f"wall_time_s={cell.wall_seconds_per_trial:.4f}"
         )
-    path = _write_rows(rows, os.path.join(_outdir(args), "thresholds"), args.out)
+    write = write_rows_csv if args.out == "csv" else write_rows_json
+    path = _write_file(args, "thresholds", write, rows)
     print(f"wrote {path}")
     return 0
 
 
 def cmd_rotations(args) -> int:
     widths = parse_bits(args.bits)
-    outdir = _outdir(args)
-    for width in widths:
-        hist = rotations_histogram(
-            width,
-            args.trials,
-            args.seed,
-            jobs=args.jobs,
-            rotation_counting=args.rotation_counting,
-        )
+    hists = rotations_histograms(
+        widths,
+        args.trials,
+        args.seed,
+        jobs=args.jobs,
+        rotation_counting=args.rotation_counting,
+    )
+    header = ("level", "avg_rotations", "trials", "seed")
+    write = write_series_csv if args.out == "csv" else write_series_json
+    for width, hist in zip(widths, hists):
         series = [
             (level, avg, args.trials, args.seed) for level, avg in hist.items()
         ]
-        header = ("level", "avg_rotations", "trials", "seed")
-        path = os.path.join(outdir, f"rotations_bits{width}.{args.out}")
-        if args.out == "csv":
-            write_series_csv(path, header, series)
-        else:
-            write_series_json(path, header, series)
+        path = _write_file(args, f"rotations_bits{width}", write, header, series)
         peak = max(hist, key=hist.__getitem__, default=None)  # None: no rotation
         summary = ("peak_level=n/a peak_avg=n/a" if peak is None
                    else f"peak_level={peak} peak_avg={hist[peak]:.2f}")
@@ -259,54 +249,35 @@ def cmd_assign_dump(args) -> int:
         )
     kind = SchemeKind(args.scheme)
     ratio = parse_ratio(args.ratio) if kind is SchemeKind.HART else None
-    width = args.width or (num_nodes.bit_length() + 2)
+    width = num_nodes.bit_length() + 2 if args.width is None else args.width
     scheme = SchemeConfig(kind, width, ratio, seed=args.seed)
     assigner = AddressAssigner(scheme, num_nodes)
     tree = AvlTree()
     for key in balanced_insertion_order(num_nodes):
         tree.insert(key, on_attach=assigner.assign_on_insert)
 
+    # The balanced tree is floor(log2 n) deep: below the width whenever
+    # its n nodes fit the 2**width - 1 addresses (otherwise CapacityError
+    # came first), so every node has a DFAT rank.
     positional_name = "gray" if kind is SchemeKind.GRAY else "dfat-gray"
-    records = []
+    header = ("key", "level", "region", "dfat_rank", "address")
+    rows = []
     for node, path in sorted(tree.nodes_with_paths(), key=lambda np: np[0].key):
-        rec = assigner.record_of(node)
+        rec = assigner.records[node]
         region = _REGION_NAMES.get(rec.source, positional_name)
-        try:
-            rank = dfat_index(path, assigner.depth_capacity)
-        except DepthOverflowError:
-            rank = None
-        records.append(
-            {
-                "key": node.key,
-                "level": len(path) + 1,
-                "region": region,
-                "dfat_rank": rank,
-                "address": format(rec.addr, f"0{width}b"),
-            }
-        )
+        rows.append((node.key, len(path) + 1, region, dfat_index(path, width),
+                     format(rec.addr, f"0{width}b")))
     if args.out == "json":
-        json.dump(records, sys.stdout, indent=2)
-        print()
+        write_series_json(sys.stdout, header, rows)
     elif args.out == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(("key", "level", "region", "dfat_rank", "address"))
-        for rec in records:
-            writer.writerow(
-                (rec["key"], rec["level"], rec["region"],
-                 "" if rec["dfat_rank"] is None else rec["dfat_rank"],
-                 rec["address"])
-            )
+        write_series_csv(sys.stdout, header, rows)
     else:
         print(f"scheme={kind.value}"
               + (f" ratio={ratio}" if ratio is not None else "")
               + f" width={width} nodes={num_nodes}")
         print(f"{'key':>6} {'level':>5} {'region':<11} {'dfat_rank':>9} address")
-        for rec in records:
-            rank = "-" if rec["dfat_rank"] is None else rec["dfat_rank"]
-            print(
-                f"{rec['key']:>6} {rec['level']:>5} {rec['region']:<11} "
-                f"{rank:>9} {rec['address']}"
-            )
+        for key, level, region, rank, address in rows:
+            print(f"{key:>6} {level:>5} {region:<11} {rank:>9} {address}")
     return 0
 
 
@@ -322,7 +293,7 @@ def _add_addressing(sub) -> None:
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    sub.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument(
         "--rotation-counting", choices=(PER_CASE, DECOMPOSED), default=PER_CASE
@@ -374,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--bits")
     dump.add_argument("--scheme", default="hart", choices=[k.value for k in SchemeKind])
     dump.add_argument("--ratio", default="0.5")
-    dump.add_argument("--width", type=int, help="override the pointer width")
+    dump.add_argument("--width", type=positive_int, help="override the pointer width")
     dump.add_argument("--seed", type=int, default=0)
     dump.add_argument("--out", choices=("csv", "json", "text"), default="text")
     dump.set_defaults(func=cmd_assign_dump)

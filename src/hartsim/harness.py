@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -312,6 +313,8 @@ def _run_cells(cells, trials: int, base_seed: int,
     :func:`_map_trials` call, so one process pool serves the whole
     experiment; each cell's outcomes are merged in trial order.
     Returns the CellResults in cell order."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if accounting is None:
         accounting = AccountingConfig()
     tasks = [
@@ -337,14 +340,11 @@ def run_cell(
     spec: SchemeSpec,
     trials: int,
     base_seed: int,
-    accounting: Optional[AccountingConfig] = None,
     reassign_mode: str = INCREMENTAL,
     jobs: int = 1,
-    num_nodes: Optional[int] = None,
-    rotation_counting: str = PER_CASE,
 ) -> CellResult:
-    (cell,) = _run_cells([(width, spec, num_nodes)], trials, base_seed,
-                         accounting, reassign_mode, jobs, rotation_counting)
+    (cell,) = _run_cells([(width, spec, None)], trials, base_seed, None,
+                         reassign_mode, jobs, PER_CASE)
     return cell
 
 
@@ -379,7 +379,7 @@ def compare_thresholds(
 
 
 def _histogram_task(args):
-    width, trial, base_seed, num_nodes, counting = args
+    index, width, trial, base_seed, num_nodes, counting = args
     tree = AvlTree()
     counts: dict = {}
     for key in gen_dataset(num_nodes, dataset_seed(base_seed, width, trial)):
@@ -393,7 +393,33 @@ def _histogram_task(args):
             levels = tuple(e.pivot_level for e in events)
         for level in levels:
             counts[level] = counts.get(level, 0) + 1
-    return trial, counts
+    return (index, trial), counts
+
+
+def rotations_histograms(
+    widths,
+    trials: int,
+    base_seed: int = 0,
+    jobs: int = 1,
+    rotation_counting: str = PER_CASE,
+) -> list:
+    """Average rotations per pivot level for each of ``widths``, in that
+    order; every width's trials go through one :func:`_map_trials` call,
+    so one process pool serves them all.  Addressing-independent."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if rotation_counting not in ROTATION_COUNTINGS:
+        raise ValueError(f"unknown rotation counting {rotation_counting!r}")
+    tasks = [
+        (index, width, trial, base_seed, nodes_for_width(width), rotation_counting)
+        for index, width in enumerate(widths)
+        for trial in range(trials)
+    ]
+    totals = [Counter() for _ in widths]
+    for (index, _), counts in _map_trials(_histogram_task, tasks, jobs):
+        totals[index].update(counts)
+    return [{level: total[level] / trials for level in sorted(total)}
+            for total in totals]
 
 
 def rotations_histogram(
@@ -404,14 +430,5 @@ def rotations_histogram(
     rotation_counting: str = PER_CASE,
 ) -> dict:
     """Average rotations per pivot level; addressing-independent."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if rotation_counting not in ROTATION_COUNTINGS:
-        raise ValueError(f"unknown rotation counting {rotation_counting!r}")
-    n = nodes_for_width(width)
-    tasks = [(width, trial, base_seed, n, rotation_counting) for trial in range(trials)]
-    totals: dict = {}
-    for _, counts in _map_trials(_histogram_task, tasks, jobs):
-        for level, count in counts.items():
-            totals[level] = totals.get(level, 0) + count
-    return {level: totals[level] / trials for level in sorted(totals)}
+    (hist,) = rotations_histograms([width], trials, base_seed, jobs, rotation_counting)
+    return hist

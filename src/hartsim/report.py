@@ -1,12 +1,14 @@
-"""Machine-readable result rows (CSV / JSON)."""
+"""Tables hartsim writes as CSV or JSON.
+
+A table is a header plus rows of values in header order.  This module
+alone decides how a table is serialized; every writer takes an open
+text stream, a file or standard output.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
 CSV_FIELDS = ("width", "scheme", "threshold_ratio", "metric", "value",
               "trials", "seed")
@@ -16,84 +18,40 @@ CSV_FIELDS = ("width", "scheme", "threshold_ratio", "metric", "value",
 TIMING_METRICS = ("wall_time_seconds",)
 
 
-@dataclass(frozen=True)
-class OutputRow:
-    width: int
-    scheme: str
-    threshold_ratio: Optional[Fraction]
-    metric: str
-    value: float
-    trials: int
-    seed: int
-
-    def as_record(self) -> dict:
-        ratio = self.threshold_ratio
-        return {
-            "width": self.width,
-            "scheme": self.scheme,
-            "threshold_ratio": "" if ratio is None else format(float(ratio), "g"),
-            "metric": self.metric,
-            "value": self.value,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-
-
 def rows_from_cell(cell) -> list:
-    """Expand one grid cell into metric rows."""
-    common = dict(
-        width=cell.width,
-        scheme=cell.scheme_tag,
-        threshold_ratio=cell.threshold_ratio,
-        trials=cell.trials,
-        seed=cell.base_seed,
-    )
-    rows = []
+    """Expand one grid cell into metric rows, tuples in CSV_FIELDS order."""
+    ratio = cell.threshold_ratio
+    ratio_text = "" if ratio is None else format(float(ratio), "g")
+    metrics = []
     mean = cell.mean_flips_per_rotation
     if mean is not None:
-        rows.append(OutputRow(metric="mean_flips_per_rotation", value=mean, **common))
-    rows.append(
-        OutputRow(
-            metric="wall_time_seconds", value=cell.wall_seconds_per_trial, **common
-        )
-    )
-    rows.append(
-        OutputRow(
-            metric="overflow_fallbacks",
-            value=float(cell.ledger.overflow_fallbacks),
-            **common,
-        )
-    )
-    return rows
+        metrics.append(("mean_flips_per_rotation", mean))
+    metrics.append(("wall_time_seconds", cell.wall_seconds_per_trial))
+    metrics.append(("overflow_fallbacks", float(cell.ledger.overflow_fallbacks)))
+    return [
+        (cell.width, cell.scheme_tag, ratio_text, metric, value, cell.trials,
+         cell.base_seed)
+        for metric, value in metrics
+    ]
 
 
-def write_rows_csv(rows, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            record = row.as_record()
-            record["value"] = repr(record["value"])
-            writer.writerow(record)
+def write_rows_csv(handle, rows) -> None:
+    write_series_csv(handle, CSV_FIELDS, rows)
 
 
-def write_rows_json(rows, path) -> None:
-    with open(path, "w") as handle:
-        json.dump([row.as_record() for row in rows], handle, indent=2)
-        handle.write("\n")
+def write_rows_json(handle, rows) -> None:
+    write_series_json(handle, CSV_FIELDS, rows)
 
 
-def write_series_csv(path, header, series) -> None:
-    """Write a plain (x, y, ...) series with the given column names."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for item in series:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in item])
+def write_series_csv(handle, header, rows) -> None:
+    """One header line, then one line per row; floats as their repr."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def write_series_json(path, header, series) -> None:
-    records = [dict(zip(header, item)) for item in series]
-    with open(path, "w") as handle:
-        json.dump(records, handle, indent=2)
-        handle.write("\n")
+def write_series_json(handle, header, rows) -> None:
+    """A list of {column: value} records, indented, with a final newline."""
+    json.dump([dict(zip(header, row)) for row in rows], handle, indent=2)
+    handle.write("\n")

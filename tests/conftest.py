@@ -43,18 +43,18 @@ def full_snapshot(runner, acct):
     slots record the node's own address word.
     """
     words = {}
-    addr_of = runner.assigner.address_of
+    records = runner.assigner.records
     entries = runner.tree.nodes_with_paths()
     for node, _ in entries:
         if acct.count_pointer_rewrites:
             if node.left is not None:
-                words[(node, LEFT)] = (node.left, addr_of(node.left))
+                words[(node, LEFT)] = (node.left, records[node.left].addr)
             if node.right is not None:
-                words[(node, RIGHT)] = (node.right, addr_of(node.right))
+                words[(node, RIGHT)] = (node.right, records[node.right].addr)
         if acct.count_node_relabels:
-            words[("label", node)] = (node, addr_of(node))
+            words[("label", node)] = (node, records[node].addr)
     if entries and acct.count_pointer_rewrites:
-        words[ROOT_SLOT] = (runner.tree.root, addr_of(runner.tree.root))
+        words[ROOT_SLOT] = (runner.tree.root, records[runner.tree.root].addr)
     return words
 
 
@@ -86,7 +86,7 @@ def build_tree(keys):
 
 def address_map(runner):
     """key -> address for every node currently in the tree."""
-    addr_of = runner.assigner.address_of
+    records = runner.assigner.records
     return {
-        node.key: addr_of(node) for node, _ in runner.tree.nodes_with_paths()
+        node.key: records[node].addr for node, _ in runner.tree.nodes_with_paths()
     }

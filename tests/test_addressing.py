@@ -193,6 +193,20 @@ def test_threshold_rejects_bad_ratio():
             threshold_from_ratio(6, ratio)
 
 
+def test_float_ratio_reads_as_its_shortest_decimal():
+    """0.3 gives the threshold of 3/10, as the text "0.3" does, not the
+    threshold of the binary fraction nearest 0.3."""
+    mismatches = [
+        (height, k)
+        for height in range(1, 64)
+        for k in range(1, 101)
+        if threshold_from_ratio(height, k / 100) != threshold_from_ratio(height, f"{k}/100")
+    ]
+    assert mismatches == []
+    assert threshold_from_ratio(5, 0.3) == threshold_from_ratio(5, "0.3") == 2
+    assert SchemeConfig(SchemeKind.HART, 8, 0.3).threshold_ratio == Fraction(3, 10)
+
+
 def test_threshold_for_tree():
     threshold = Threshold.for_tree(63, Fraction(1, 2))
     assert threshold.height == 6

@@ -88,7 +88,7 @@ def test_identity_bound_addresses_hold_deeper_than_the_pointer_width(kind, sourc
             deepest = max(deepest, len(path))
             value, insert_source = at_insert[node]
             assert insert_source == source
-            rec = assigner.record_of(node)
+            rec = assigner.records[node]
             assert (rec.addr, rec.source) == (value, source)
     assert deepest > 8, "no node got deeper than the pointer width"
 
@@ -189,14 +189,14 @@ def test_hart_seven_node_tree_regions_and_addresses():
     assert assigner.threshold.level == 1
 
     root = tree.root
-    root_rec = assigner.record_of(root)
+    root_rec = assigner.records[root]
     assert root_rec.source == SOURCE_LINEAR
     assert root_rec.addr == 0
 
     for node, path in tree.nodes_with_paths():
         if node is root:
             continue
-        rec = assigner.record_of(node)
+        rec = assigner.records[node]
         assert rec.source == SOURCE_POSITIONAL
         assert rec.addr == binary_to_gray(dfat_index(path, 5), 5)
     # spot values from the hand enumeration
@@ -216,10 +216,10 @@ def test_hart_linear_gray_conflict_falls_back_to_spare():
     addr = address_map(runner)
     tree = runner.tree
     assert addr[2] == 1  # new root, linear counter value 1
-    rec1 = assigner.record_of(tree.root.left)
+    rec1 = assigner.records[tree.root.left]
     assert rec1.source == SOURCE_SPARE
     assert rec1.addr == 0
-    rec3 = assigner.record_of(tree.root.right)
+    rec3 = assigner.records[tree.root.right]
     assert rec3.source == SOURCE_POSITIONAL
     assert rec3.addr == binary_to_gray(16, 5)
     assert assigner.space.spare_allocations >= 1
@@ -230,7 +230,7 @@ def test_hart_ratio_one_on_balanced_tree_is_all_linear():
     runner = make_runner(SchemeKind.HART, 8, ratio=1, n=63)
     feed(runner, balanced_insertion_order(63))
     for node, _ in runner.tree.nodes_with_paths():
-        assert runner.assigner.record_of(node).source == SOURCE_LINEAR
+        assert runner.assigner.records[node].source == SOURCE_LINEAR
     assert sorted(address_map(runner).values()) == list(range(63))
 
 
@@ -246,7 +246,7 @@ def test_hart_rotation_inside_linear_region_relabels_nothing():
     feed(runner, gen_dataset(63, 9))
     assert batches and all(batch == [] for batch in batches)
     for node, _ in runner.tree.nodes_with_paths():
-        assert runner.assigner.record_of(node).source == SOURCE_LINEAR
+        assert runner.assigner.records[node].source == SOURCE_LINEAR
 
 
 def test_hybrid_partition_audit_after_every_insert():
@@ -259,7 +259,7 @@ def test_hybrid_partition_audit_after_every_insert():
         for key in gen_dataset(127, 13):
             runner.insert(key)
             for node, path in runner.tree.nodes_with_paths():
-                rec = runner.assigner.record_of(node)
+                rec = runner.assigner.records[node]
                 if len(path) + 1 <= cutoff:
                     assert rec.source == SOURCE_LINEAR
                 else:
@@ -347,7 +347,7 @@ def test_depth_overflow_falls_back_to_spare_and_counts():
     deep_path = (0, 1, 0, 1)  # depth 4 does not fit 4 levels
     value = assigner.assign_on_insert("node", deep_path)
     assert assigner.overflow_fallbacks == 1
-    assert assigner.record_of("node").source == SOURCE_SPARE
+    assert assigner.records["node"].source == SOURCE_SPARE
     assert value == 0
 
 
@@ -355,7 +355,7 @@ def test_gray_scheme_uses_level_order_positions():
     runner = make_runner(SchemeKind.GRAY, 5, n=7)
     feed(runner, balanced_insertion_order(7))
     for node, path in runner.tree.nodes_with_paths():
-        rec = runner.assigner.record_of(node)
+        rec = runner.assigner.records[node]
         pos = 1
         for step in path:
             pos = (pos << 1) | step

@@ -1,10 +1,15 @@
 import csv
+import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from hartsim import harness
 from hartsim.cli import main, parse_bits, parse_ratio, parse_schemes
 from hartsim.report import TIMING_METRICS
 
@@ -22,7 +27,8 @@ def stable_rows(rows):
     ]
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def blank_timings(text):
@@ -34,6 +40,12 @@ def blank_timings(text):
             fields[4] = ""
         lines.append(",".join(fields))
     return "\n".join(lines)
+
+
+def blank_json_timings(text):
+    """JSON row text with the values of timing-dependent rows emptied."""
+    metrics = "|".join(map(re.escape, TIMING_METRICS))
+    return re.sub(rf'("metric": "(?:{metrics})",\n\s*"value": )[^,\n]*', r'\1""', text)
 
 
 def test_parse_bits_forms():
@@ -254,6 +266,7 @@ def test_assign_dump_text_format(capsys):
     ("default", []),
     ("full-pass", ["--mode", "full-pass"]),
     ("accounting-both", ["--accounting", "both"]),
+    ("json", ["--out", "json"]),
 ])
 def test_bench_matches_committed_golden(tmp_path, name, flags):
     """A fixed-seed grid is byte-identical to the committed output,
@@ -263,26 +276,53 @@ def test_bench_matches_committed_golden(tmp_path, name, flags):
         "--seed", "7", "--output-dir", str(tmp_path), *flags,
     ])
     assert code == 0
-    with open(tmp_path / "bench.csv", newline="") as handle:
-        got = blank_timings(handle.read())
-    with open(GOLDEN / f"bench_bits8-10_seed7_{name}.csv", newline="") as handle:
+    fmt, blank = ("json", blank_json_timings) if name == "json" else ("csv", blank_timings)
+    with open(tmp_path / f"bench.{fmt}", newline="") as handle:
+        got = blank(handle.read())
+    with open(GOLDEN / f"bench_bits8-10_seed7_{name}.{fmt}", newline="") as handle:
         assert got == handle.read()
 
 
-@pytest.mark.parametrize("counting", ["per-case", "decomposed"])
-def test_rotations_matches_committed_golden(tmp_path, counting):
+@pytest.mark.parametrize("fmt, blank", [
+    ("csv", blank_timings), ("json", blank_json_timings),
+])
+def test_compare_thresholds_matches_committed_golden(tmp_path, fmt, blank):
+    code = main([
+        "compare-thresholds", "--bits", "10", "--trials", "5", "--seed", "7",
+        "--out", fmt, "--output-dir", str(tmp_path),
+    ])
+    assert code == 0
+    got = blank((tmp_path / f"thresholds.{fmt}").read_text())
+    assert got == (GOLDEN / f"thresholds_bits10_seed7.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("counting, fmt", [
+    ("per-case", "csv"), ("decomposed", "csv"), ("per-case", "json"),
+], ids=["per-case", "decomposed", "per-case-json"])
+def test_rotations_matches_committed_golden(tmp_path, counting, fmt):
     """Each width's series of a fixed-seed run, concatenated in width
     order, is byte-identical to the committed output."""
     code = main([
         "rotations", "--bits", "8-12", "--trials", "20", "--seed", "7",
-        "--rotation-counting", counting, "--output-dir", str(tmp_path),
+        "--rotation-counting", counting, "--out", fmt, "--output-dir", str(tmp_path),
     ])
     assert code == 0
     got = "".join(
-        (tmp_path / f"rotations_bits{width}.csv").read_text()
+        (tmp_path / f"rotations_bits{width}.{fmt}").read_text()
         for width in range(8, 13)
     )
-    assert got == (GOLDEN / f"rotations_bits8-12_seed7_{counting}.csv").read_text()
+    assert got == (GOLDEN / f"rotations_bits8-12_seed7_{counting}.{fmt}").read_text()
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("hart-0.25", ["--scheme", "hart", "--ratio", "0.25"]),
+    ("random-seed3-width7", ["--scheme", "random", "--seed", "3", "--width", "7"]),
+])
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("csv", "csv"), ("json", "json")])
+def test_assign_dump_matches_committed_golden(capsys, name, flags, fmt, ext):
+    assert main(["assign-dump", "--nodes", "20", *flags, "--out", fmt]) == 0
+    golden = GOLDEN / f"assign-dump_nodes20_{name}.{ext}"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_rotations_width_without_rotations(tmp_path, capsys):
@@ -304,6 +344,61 @@ def test_jobs_below_one_rejected_at_parse_time(tmp_path, capsys, jobs):
     assert excinfo.value.code == 2
     assert "--jobs: must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "compare-thresholds", "rotations"])
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_trials_below_one_rejected_at_parse_time(tmp_path, capsys, command, trials):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--bits", "8", "--trials", trials, "--output-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "--trials: must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_assign_dump_rejects_width_zero(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["assign-dump", "--nodes", "7", "--width", "0"])
+    assert excinfo.value.code == 2
+    assert "--width: must be at least 1" in capsys.readouterr().err
+
+
+def test_rotations_runs_every_width_through_one_pool(tmp_path, monkeypatch):
+    argv = ["rotations", "--bits", "8-12", "--trials", "2", "--seed", "3"]
+    assert main(argv + ["--output-dir", str(tmp_path / "serial")]) == 0
+    pools = []
+    real_pool = harness.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
+    assert main(argv + ["--jobs", "2", "--output-dir", str(tmp_path / "pool")]) == 0
+    assert len(pools) == 1
+    for width in range(8, 13):
+        name = f"rotations_bits{width}.csv"
+        assert (tmp_path / "pool" / name).read_text() == (
+            tmp_path / "serial" / name).read_text()
+
+
+def test_traced_command_line_finds_every_name_it_wraps(tmp_path):
+    """The perfbench tracer wraps hartsim functions by name; a run under
+    it fails if one of those names is gone."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(tmp_path),
+         "bench", "--bits", "8", "--trials", "1", "--output-dir", str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    total = tracing.collect(tracing.read_dir(tmp_path))
+    assert total["counts"]["harness.trials"] == 5
+    assert total["self_s"]["report.write"] > 0
 
 
 @pytest.mark.parametrize("command", ["compare-thresholds", "assign-dump"])

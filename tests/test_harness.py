@@ -22,6 +22,7 @@ from hartsim.harness import (
     gen_dataset,
     nodes_for_width,
     rotations_histogram,
+    rotations_histograms,
     run_cell,
     run_experiment,
     run_trial,
@@ -124,6 +125,15 @@ def test_histogram_counting_conventions():
     assert sum(decomposed.values()) > sum(per_case.values())
 
 
+def test_histograms_of_several_widths_merge_by_position():
+    """One pool for all widths; a width given twice gets its series twice."""
+    assert rotations_histograms([8, 9, 8], 3, base_seed=5, jobs=2) == [
+        rotations_histogram(8, 3, base_seed=5),
+        rotations_histogram(9, 3, base_seed=5),
+        rotations_histogram(8, 3, base_seed=5),
+    ]
+
+
 def test_per_case_and_decomposed_agree_on_flips():
     scheme = SchemeConfig(SchemeKind.DFAT_GRAY, 8)
     seed = dataset_seed(0, 8, 1)
@@ -139,6 +149,14 @@ def test_run_cell_parallel_matches_serial():
     parallel = run_cell(8, spec, trials=6, base_seed=2, jobs=2)
     assert serial.ledger == parallel.ledger
     assert serial.mean_flips_per_rotation == parallel.mean_flips_per_rotation
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_trial_counts_below_one_are_rejected(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_cell(8, SchemeSpec(SchemeKind.DFAT_GRAY), trials, 0)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        compare_thresholds(63, trials=trials)
 
 
 def test_run_experiment_one_pool_matches_serial_and_per_cell_runs():
