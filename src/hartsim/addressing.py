@@ -62,6 +62,20 @@ def gray_to_binary(gray: int, width: int) -> int:
 # ----------------------------------------------------------------------
 # positional indexing
 # ----------------------------------------------------------------------
+def dfat_rank(heap_id: int, depth: int, depth_capacity: int) -> int:
+    """DFAT rank of the position with 1-based heap id ``heap_id`` at
+    ``depth``; see :func:`dfat_index`."""
+    # XOR with 0b...0101 strips the leading 1 and flips the odd depths,
+    # whose first-visited child is Right.
+    x = heap_id ^ (((4 << depth) - 1) // 3)
+    return depth - x.bit_count() + (x << (depth_capacity - depth))
+
+
+def level_rank(heap_id: int, depth: int, depth_capacity: int) -> int:
+    """Level-order rank (root = 0) of the position with heap id ``heap_id``."""
+    return heap_id - 1
+
+
 def dfat_index(path: Path, depth_capacity: int) -> int:
     """Preorder rank of ``path`` under alternating child order.
 
@@ -73,15 +87,8 @@ def dfat_index(path: Path, depth_capacity: int) -> int:
     With ``x`` the steps to a second-visited child as bits, that sum is
     depth - popcount(x) + (x << (capacity - depth)).
     """
-    depth = len(path)
-    if depth >= depth_capacity:
-        raise DepthOverflowError(
-            f"depth {depth} exceeds capacity of {depth_capacity} levels"
-        )
-    # XOR with 0b...0101 strips the leading 1 and flips the odd depths,
-    # whose first-visited child is Right.
-    x = position_id(path) ^ (((4 << depth) - 1) // 3)
-    return depth - x.bit_count() + (x << (depth_capacity - depth))
+    heap_id = level_order_index(path, depth_capacity) + 1
+    return dfat_rank(heap_id, len(path), depth_capacity)
 
 
 def level_order_index(path: Path, depth_capacity: int) -> int:
@@ -90,17 +97,15 @@ def level_order_index(path: Path, depth_capacity: int) -> int:
         raise DepthOverflowError(
             f"depth {len(path)} exceeds capacity of {depth_capacity} levels"
         )
-    pos = 1
-    for step in path:
-        pos = (pos << 1) | step
-    return pos - 1
+    return position_id(path) - 1
 
 
 _STEP_DIGITS = bytes.maketrans(bytes((LEFT, RIGHT)), b"01")
 
 
 def position_id(path: Path) -> int:
-    """Depth-independent identifier of a tree position (1-based heap id)."""
+    """Depth-independent identifier of a tree position (1-based heap id):
+    1 for the root, and 2*id + step for a child."""
     return int(b"1" + bytes(path).translate(_STEP_DIGITS), 2)
 
 
@@ -246,14 +251,15 @@ class AddressSpace:
         return value
 
     def allocate_next_linear(self, node) -> int:
-        """Next available value of the monotone linear counter."""
-        value = self.next_linear
-        limit = self.null_word
+        """Next free value of the linear counter; past the last value it
+        wraps to 0, so it fails only when the space is full."""
         occupied = self.occupied
-        while value < limit and value in occupied:
-            value += 1
-        if value >= limit:
-            raise CapacityError(f"linear counter ran past width {self.width}")
+        limit = self.null_word
+        if len(occupied) >= limit:
+            raise CapacityError(f"address space of width {self.width} exhausted")
+        value = self.next_linear
+        while value >= limit or value in occupied:
+            value = value + 1 if value < limit else 0
         occupied[value] = node
         self.next_linear = value + 1
         return value
@@ -304,7 +310,7 @@ class AddressAssigner:
             self.linear_cutoff = self.threshold.level
         # Linear and random addresses stay with their node for good.
         self.identity_bound = config.kind in (SchemeKind.LINEAR, SchemeKind.RANDOM)
-        self._rank = level_order_index if config.kind is SchemeKind.GRAY else dfat_index
+        self._rank = level_rank if config.kind is SchemeKind.GRAY else dfat_rank
         self._rng = None
         # Sparse Fisher-Yates: the random pool is the identity over its
         # first ``_left`` slots except where ``_swapped`` says otherwise.
@@ -338,36 +344,35 @@ class AddressAssigner:
             self.records[node] = AddressRecord(value, SOURCE_LINEAR, 0)
             return value
 
+        heap_id = position_id(path)
         target = -1  # depth overflow: no representable target
         if depth < self.width:
-            index = self._rank(path, self.width)
+            index = self._rank(heap_id, depth, self.width)
             target = index ^ (index >> 1)
             occupied = self.space.occupied
             if target < self.space.null_word and target not in occupied:
                 occupied[target] = node
                 self.records[node] = AddressRecord(target, SOURCE_POSITIONAL, 0)
                 return target
-        value, source, pos = self._spare(node, path, target)
+        value, source, pos = self._spare(node, heap_id, target)
         self.records[node] = AddressRecord(value, source, pos)
         return value
 
-    def _spare(self, node, path: Path, target: int):
+    def _spare(self, node, heap_id: int, target: int):
         """Spare-queue binding for a node whose ``target`` is taken (or
         -1, a depth overflow); returns (address, source, bound position).
-        Only a spare binding records its position."""
+        Only a spare binding records its position, as a heap id."""
         if target < 0:
             self.overflow_fallbacks += 1
-        return self.space.allocate_lowest_free(node), SOURCE_SPARE, position_id(path)
+        return self.space.allocate_lowest_free(node), SOURCE_SPARE, heap_id
 
     # -- re-assignment after rotations ----------------------------------
-    def rebind_moved(self, moved) -> list:
-        """Incremental re-addressing of a rotation's moved nodes.
-
-        ``moved`` is the event's (node, old_path, new_path) list, in
-        preorder of the rearranged subtree; only the new paths matter.
+    def rebind_moved(self, event) -> list:
+        """Incremental re-addressing of a rotation's moved nodes: the
+        subtree under ``event.pivot``, whose every node changed path.
         Returns (node, old_addr, new_addr) relabels.
         """
-        return self._rebind([(node, new) for node, _, new in moved], derive=True)
+        return self._rebind(event.pivot, event.pivot_path, derive=True)
 
     def full_pass(self, tree: AvlTree) -> list:
         """Whole-tree re-addressing sweep (recursive assignment pass).
@@ -377,22 +382,22 @@ class AddressAssigner:
         their position are left untouched, so on a consistent tree this
         returns exactly the relabels the incremental mode would.
         """
-        return self._rebind(tree.nodes_with_paths(), derive=False)
+        return self._rebind(tree.root, (), derive=False)
 
-    def _rebind(self, entries, derive: bool) -> list:
-        """Two-phase batch re-addressing of (node, path) entries in
-        preorder of a subtree.
+    def _rebind(self, root, root_path: Path, derive: bool) -> list:
+        """Two-phase batch re-addressing of the subtree under ``root``,
+        which sits at ``root_path``, walked in left-first preorder.
 
         Phase A computes each node's target once, decides which nodes
         need a new address and releases their old values; phase B claims
         in the same order.  Freeing first keeps a rotation from colliding
         with addresses its own moved set is about to give up.
 
-        The full pass computes each index from scratch with the
-        scheme's rank function (the per-node cost that mode measures).
-        With ``derive`` an index follows in O(1) from the parent's, the
-        latest node seen one level up: DFAT adds 1 or
-        2**(capacity - depth), level order maps r to 2r + 1 + step.
+        The walk carries each node's depth and heap id (a child's is
+        2*id + step).  The full pass ranks every node from scratch from
+        its heap id with the scheme's rank function (the per-node cost
+        that mode measures).  With ``derive`` a DFAT index follows in
+        O(1) from the parent's: it adds 1 or 2**(capacity - depth).
         Only the subtree root and nodes just below the linear region
         start from scratch.  Each index computed adds one to
         :attr:`indexed_nodes`.
@@ -402,55 +407,58 @@ class AddressAssigner:
         records = self.records
         space = self.space
         cutoff = self.linear_cutoff
-        use_level_order = self.config.kind is SchemeKind.GRAY
         rank = self._rank
         capacity = self.width
-        # Nodes deeper than ``scratch`` take their index from the parent.
-        scratch = max(cutoff, len(entries[0][1])) if derive else capacity
-        ranks = [0] * capacity  # index of the latest node seen per depth
+        depth = len(root_path)
+        # Nodes deeper than ``scratch`` take their index from the parent;
+        # a level-order rank is O(1) from scratch, so it never derives.
+        scratch = max(cutoff, depth) if derive and rank is dfat_rank else capacity
+        stack = [(root, depth, position_id(root_path), 0)]
+        push = stack.append
+        pop = stack.pop
         changers = []
         append = changers.append
         release = space.release
         indexed = 0
-        for node, path in entries:
-            rec = records[node]
-            depth = len(path)
+        while stack:
+            node, depth, heap_id, parent = pop()
             if depth < cutoff:
-                if rec.source == SOURCE_LINEAR:
-                    continue  # identity-bound while it stays in the region
-                release(rec.addr)
-                append((node, path, rec, None))
-                continue
-            if depth >= capacity:
-                target = -1  # depth overflow: no representable target
+                index = target = None  # linear region
+            elif depth >= capacity:
+                index, target = 0, -1  # depth overflow: no representable target
             else:
                 indexed += 1
-                if depth > scratch:
-                    parent = ranks[depth - 1]
-                    if use_level_order:
-                        index = 2 * parent + 1 + path[-1]
-                    elif path[-1] == ((depth - 1) & 1):
-                        index = parent + 1
-                    else:
-                        index = parent + (1 << (capacity - depth))
+                if depth <= scratch:
+                    index = rank(heap_id, depth, capacity)
+                elif heap_id & 1 == (depth - 1) & 1:  # first-visited child
+                    index = parent + 1
                 else:
-                    index = rank(path, capacity)
-                ranks[depth] = index
+                    index = parent + (1 << (capacity - depth))
                 target = index ^ (index >> 1)
-            if rec.addr == target:
+            child = node.right
+            if child is not None:
+                push((child, depth + 1, 2 * heap_id + 1, index))
+            child = node.left
+            if child is not None:
+                push((child, depth + 1, 2 * heap_id, index))
+            rec = records[node]
+            if target is None:
+                if rec.source == SOURCE_LINEAR:
+                    continue  # identity-bound while it stays in the region
+            elif rec.addr == target:
                 if rec.source != SOURCE_POSITIONAL:
                     rec.source = SOURCE_POSITIONAL
                 continue
-            if rec.source == SOURCE_SPARE and rec.bound_pos == position_id(path):
+            elif rec.source == SOURCE_SPARE and rec.bound_pos == heap_id:
                 continue  # spare binding is still for this position
             release(rec.addr)
-            append((node, path, rec, target))
+            append((node, heap_id, rec, target))
         self.indexed_nodes += indexed
 
         relabels = []
         occupied = space.occupied
         null_word = space.null_word
-        for node, path, rec, target in changers:
+        for node, heap_id, rec, target in changers:
             old = rec.addr
             if target is None:
                 value, source, pos = space.allocate_next_linear(node), SOURCE_LINEAR, 0
@@ -458,7 +466,7 @@ class AddressAssigner:
                 occupied[target] = node
                 value, source, pos = target, SOURCE_POSITIONAL, 0
             else:
-                value, source, pos = self._spare(node, path, target)
+                value, source, pos = self._spare(node, heap_id, target)
             rec.addr = value
             rec.source = source
             rec.bound_pos = pos

@@ -62,15 +62,17 @@ class RotationEvent:
     moving between them is empty.  A slot is ``(owner_node, side)``, or
     :data:`ROOT_SLOT` for the tree's root pointer.
 
-    ``moved`` lists every node whose root path changed, as ``(node,
-    old_path, new_path)`` tuples in preorder of the rearranged subtree.
-    It is walked on first read, and cached, from ``walk``: the tree and
-    its size at the rotation, the pivot, the sub-root, the direction and
-    the regions A, B and C.  The walk reads only the pivot, the sub-root
-    and the regions' insides, which nothing changes before the next
-    insert into the tree (the second half of a double relinks only its
-    own sub-root, pivot and slot above).  So ``moved`` is defined until
-    that insert; a first read after it raises :class:`RuntimeError`.
+    ``pivot`` is the node hoisted into the slot; the subtree under it is
+    exactly the set of nodes whose root path changed.  ``moved`` lists
+    them as ``(node, old_path, new_path)`` tuples in preorder of that
+    subtree, and ``len(event)`` is their number.  The list is walked on
+    first read, and cached, from ``walk``: the tree and its size at the
+    rotation, the pivot, the sub-root, the direction and the regions A,
+    B and C.  The walk reads only the pivot, the sub-root and the
+    regions' insides, which nothing changes before the next insert into
+    the tree (the second half of a double relinks only its own sub-root,
+    pivot and slot above).  So ``moved`` is defined until that insert; a
+    first read after it raises :class:`RuntimeError`.
     """
 
     __slots__ = ("kind", "pivot_level", "pivot_path", "rewired", "_walk", "_moved")
@@ -83,6 +85,13 @@ class RotationEvent:
         self.rewired = rewired
         self._walk = walk
         self._moved = None
+
+    @property
+    def pivot(self) -> Node:
+        return self._walk[2]
+
+    def __len__(self) -> int:
+        return len(self.moved)
 
     @property
     def moved(self) -> list:
@@ -130,22 +139,6 @@ class Violation:
 
     path: Path
     reason: str
-
-
-def _subtree_paths(node: Node, prefix: Path) -> list:
-    """Preorder list of (node, absolute path) for the subtree at ``node``."""
-    out = []
-    stack = [(node, prefix)]
-    push = stack.append
-    pop = stack.pop
-    while stack:
-        n, p = pop()
-        out.append((n, p))
-        if n.right is not None:
-            push((n.right, p + (RIGHT,)))
-        if n.left is not None:
-            push((n.left, p + (LEFT,)))
-    return out
 
 
 class AvlTree:
@@ -353,9 +346,16 @@ class AvlTree:
 
     def nodes_with_paths(self) -> list:
         """Preorder (node, path) pairs for the whole tree."""
-        if self.root is None:
-            return []
-        return _subtree_paths(self.root, ())
+        out = []
+        stack = [(self.root, ())] if self.root is not None else []
+        while stack:
+            node, path = stack.pop()
+            out.append((node, path))
+            if node.right is not None:
+                stack.append((node.right, path + (RIGHT,)))
+            if node.left is not None:
+                stack.append((node.left, path + (LEFT,)))
+        return out
 
     # ------------------------------------------------------------------
     # validation
@@ -399,13 +399,4 @@ class AvlTree:
 
     def _locate(self, target: Node) -> Path:
         """Path to a node object, by identity (order may be corrupt)."""
-        stack = [(self.root, ())]
-        while stack:
-            node, path = stack.pop()
-            if node is target:
-                return path
-            if node.left is not None:
-                stack.append((node.left, path + (LEFT,)))
-            if node.right is not None:
-                stack.append((node.right, path + (RIGHT,)))
-        raise KeyNotFoundError("node not reachable from root")
+        return next(path for node, path in self.nodes_with_paths() if node is target)

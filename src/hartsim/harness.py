@@ -166,7 +166,7 @@ class TrialRunner:
         elif self.assigner.identity_bound:
             relabels = []  # no moved set to walk: nothing is re-addressed
         else:
-            relabels = self.assigner.rebind_moved(event.moved)
+            relabels = self.assigner.rebind_moved(event)
         # A pointer rewrite is a slot that points at a *different* node
         # (one the rotation rewired) and whose stored word actually
         # changed.  Slots that keep their child but see its address

@@ -301,6 +301,21 @@ def test_linear_counter_skips_occupied_values():
     assert space.next_linear == 4
 
 
+def test_linear_counter_wraps_to_values_freed_below_it():
+    """Past the last value the counter wraps to 0; it fails only when
+    every value is taken."""
+    space = AddressSpace(2)  # values 0..2, 3 is null
+    for _ in range(3):
+        space.allocate_next_linear("n")
+    space.release(1)
+    assert space.allocate_next_linear("a") == 1
+    assert space.next_linear == 2
+    space.release(0)
+    assert space.allocate_next_linear("b") == 0  # 2 is taken, wraps past 3
+    with pytest.raises(CapacityError):
+        space.allocate_next_linear("x")
+
+
 def test_linear_counter_capacity_error():
     space = AddressSpace(2)  # values 0..2, 3 is null
     for _ in range(3):

@@ -13,7 +13,6 @@ from hartsim.avl import (
     DuplicateKeyError,
     KeyNotFoundError,
     Node,
-    _subtree_paths,
 )
 from hartsim.harness import gen_dataset
 
@@ -133,9 +132,9 @@ def _slots(tree):
 
 def test_moved_set_and_rewired_slots_match_tree_snapshots():
     """Whole-tree snapshots around every single rotation: ``moved`` is
-    exactly the rearranged subtree, with its paths before and after, in
-    the preorder ``_subtree_paths`` gives; ``rewired`` is exactly the set
-    of slots whose non-None child changed."""
+    exactly the rearranged subtree under ``pivot``, with its paths before
+    and after, in the preorder ``nodes_with_paths`` gives; ``rewired`` is
+    exactly the set of slots whose non-None child changed."""
     state = {}
     seen = {"LEFT": 0, "RIGHT": 0, "one slot": 0, "three slots": 0}
 
@@ -149,8 +148,10 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
         prefix = event.pivot_path
         expected = [
             (node, old_paths[node], path)
-            for node, path in _subtree_paths(tree.node_at(prefix), prefix)
+            for node, path in tree.nodes_with_paths()
+            if path[:len(prefix)] == prefix
         ]
+        assert event.pivot is tree.node_at(prefix)
         assert event.moved == expected
         changed = {n for n, path in new_paths.items() if old_paths[n] != path}
         assert changed == {node for node, _, _ in event.moved}
@@ -207,6 +208,21 @@ def test_moved_first_read_after_next_insert_raises():
     walked = read.moved
     tree.insert(6)
     assert read.moved is walked  # a list read in time stays readable
+
+
+def test_len_is_the_moved_set_size_and_raises_like_moved():
+    tree, _ = build_tree([1, 2])
+    (event,) = tree.insert(3)  # RR at the root
+    assert len(event) == len(event.moved) == 3
+    assert tree.insert(4) == []
+    (deep,) = tree.insert(5)  # RR at node 3
+    assert len(deep) == len(deep.moved) == 3
+    (stale,) = tree.insert(6)  # RR at the root: the whole tree moves
+    tree.insert(7)
+    with pytest.raises(RuntimeError, match="next insert"):
+        len(stale)
+    with pytest.raises(RuntimeError, match="next insert"):
+        stale.moved
 
 
 def _iter_subtree(node):

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from hartsim import harness
+from hartsim.accounting import AccountingConfig
+from hartsim.addressing import SchemeConfig
 from hartsim.cli import main, parse_bits, parse_ratio, parse_schemes
 from hartsim.report import TIMING_METRICS
 
@@ -382,13 +384,36 @@ def test_rotations_runs_every_width_through_one_pool(tmp_path, monkeypatch):
             tmp_path / "serial" / name).read_text()
 
 
-def test_traced_command_line_finds_every_name_it_wraps(tmp_path):
+def _visited_nodes_untraced(mode, width, seed):
+    """What ``addressing.visited_nodes`` should count for one trial of
+    every scheme: a full pass visits the whole tree at every rotation,
+    the incremental sweep a positional scheme's moved set."""
+    visited = []
+    for spec in parse_schemes("all", parse_ratio("0.5")):
+        ratio = spec.threshold_ratio
+        scheme = SchemeConfig(spec.kind, width, ratio,
+                              seed=harness.scheme_seed(seed, width, spec.tag, ratio, 0))
+        runner = harness.TrialRunner(scheme, AccountingConfig(), mode,
+                                     num_nodes=harness.nodes_for_width(width))
+        if mode == harness.FULL_PASS:
+            runner.after_rotation_hook = lambda *_: visited.append(len(runner.tree))
+        elif not runner.assigner.identity_bound:
+            runner.after_rotation_hook = lambda event, *_: visited.append(len(event.moved))
+        runner.run(harness.gen_dataset(harness.nodes_for_width(width),
+                                       harness.dataset_seed(seed, width, 0)))
+    return sum(visited)
+
+
+@pytest.mark.parametrize("mode", [harness.INCREMENTAL, harness.FULL_PASS])
+def test_traced_command_line_finds_every_name_it_wraps(tmp_path, mode):
     """The perfbench tracer wraps hartsim functions by name; a run under
-    it fails if one of those names is gone."""
+    it fails if one of those names is gone, and the nodes it counts as
+    visited are the ones each mode's sweep walks."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(tmp_path),
-         "bench", "--bits", "8", "--trials", "1", "--output-dir", str(tmp_path)],
+         "bench", "--bits", "8", "--trials", "1", "--mode", mode,
+         "--output-dir", str(tmp_path)],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -399,6 +424,9 @@ def test_traced_command_line_finds_every_name_it_wraps(tmp_path):
     total = tracing.collect(tracing.read_dir(tmp_path))
     assert total["counts"]["harness.trials"] == 5
     assert total["self_s"]["report.write"] > 0
+    visited = _visited_nodes_untraced(mode, 8, 0)
+    assert visited > 0
+    assert total["counts"]["addressing.visited_nodes"] == visited
 
 
 @pytest.mark.parametrize("command", ["compare-thresholds", "assign-dump"])
