@@ -12,9 +12,10 @@ Five schemes are provided:
   threshold T, DFAT-Gray below it.
 
 Positional schemes (gray, dfat-gray, hart below T) re-address nodes
-whose position changed after a rotation; identity-bound schemes never
-do.  Conflicts and depth overflows fall back to the spare queue, which
-always hands out the lowest free address value.
+whose position changed after a rotation, walking the rotated subtree
+(incremental) or sweeping the whole tree a level at a time (full pass);
+identity-bound schemes never do.  Conflicts and depth overflows fall
+back to the spare queue, which hands out the lowest free address value.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 from .avl import LEFT, RIGHT, AvlTree, Path
@@ -62,18 +64,20 @@ def gray_to_binary(gray: int, width: int) -> int:
 # ----------------------------------------------------------------------
 # positional indexing
 # ----------------------------------------------------------------------
-def dfat_rank(heap_id: int, depth: int, depth_capacity: int) -> int:
-    """DFAT rank of the position with 1-based heap id ``heap_id`` at
-    ``depth``; see :func:`dfat_index`."""
+def dfat_ranks(heap_ids, depth: int, depth_capacity: int) -> list:
+    """DFAT ranks of the positions with 1-based heap ids ``heap_ids``,
+    all at ``depth``; see :func:`dfat_index`."""
     # XOR with 0b...0101 strips the leading 1 and flips the odd depths,
     # whose first-visited child is Right.
-    x = heap_id ^ (((4 << depth) - 1) // 3)
-    return depth - x.bit_count() + (x << (depth_capacity - depth))
+    flip = ((4 << depth) - 1) // 3
+    shift = depth_capacity - depth
+    return [depth - (x := heap_id ^ flip).bit_count() + (x << shift)
+            for heap_id in heap_ids]
 
 
-def level_rank(heap_id: int, depth: int, depth_capacity: int) -> int:
-    """Level-order rank (root = 0) of the position with heap id ``heap_id``."""
-    return heap_id - 1
+def level_ranks(heap_ids, depth: int, depth_capacity: int) -> list:
+    """Level-order ranks (root = 0) of the positions with heap ids ``heap_ids``."""
+    return [heap_id - 1 for heap_id in heap_ids]
 
 
 def dfat_index(path: Path, depth_capacity: int) -> int:
@@ -88,7 +92,7 @@ def dfat_index(path: Path, depth_capacity: int) -> int:
     depth - popcount(x) + (x << (capacity - depth)).
     """
     heap_id = level_order_index(path, depth_capacity) + 1
-    return dfat_rank(heap_id, len(path), depth_capacity)
+    return dfat_ranks((heap_id,), len(path), depth_capacity)[0]
 
 
 def level_order_index(path: Path, depth_capacity: int) -> int:
@@ -298,7 +302,7 @@ class AddressAssigner:
         self.space = AddressSpace(width)
         self.records: dict = {}
         self.overflow_fallbacks = 0
-        self.indexed_nodes = 0  # positional indices computed by _rebind
+        self.indexed_nodes = 0  # positional indices computed by the two walks
         # Nodes at depths below the cutoff take linear addresses; a
         # linear tree gets deeper than its width, so its cutoff is unbounded.
         self.linear_cutoff = sys.maxsize if config.kind is SchemeKind.LINEAR else 0
@@ -310,7 +314,7 @@ class AddressAssigner:
             self.linear_cutoff = self.threshold.level
         # Linear and random addresses stay with their node for good.
         self.identity_bound = config.kind in (SchemeKind.LINEAR, SchemeKind.RANDOM)
-        self._rank = level_rank if config.kind is SchemeKind.GRAY else dfat_rank
+        self._ranks = level_ranks if config.kind is SchemeKind.GRAY else dfat_ranks
         self._rng = None
         # Sparse Fisher-Yates: the random pool is the identity over its
         # first ``_left`` slots except where ``_swapped`` says otherwise.
@@ -347,7 +351,7 @@ class AddressAssigner:
         heap_id = position_id(path)
         target = -1  # depth overflow: no representable target
         if depth < self.width:
-            index = self._rank(heap_id, depth, self.width)
+            index = self._ranks((heap_id,), depth, self.width)[0]
             target = index ^ (index >> 1)
             occupied = self.space.occupied
             if target < self.space.null_word and target not in occupied:
@@ -369,56 +373,28 @@ class AddressAssigner:
     # -- re-assignment after rotations ----------------------------------
     def rebind_moved(self, event) -> list:
         """Incremental re-addressing of a rotation's moved nodes: the
-        subtree under ``event.pivot``, whose every node changed path.
-        Returns (node, old_addr, new_addr) relabels.
-        """
-        return self._rebind(event.pivot, event.pivot_path, derive=True)
-
-    def full_pass(self, tree: AvlTree) -> list:
-        """Whole-tree re-addressing sweep (recursive assignment pass).
-
-        Visits every node in preorder and applies the same region rules
-        as the incremental path.  Nodes whose address already matches
-        their position are left untouched, so on a consistent tree this
-        returns exactly the relabels the incremental mode would.
-        """
-        return self._rebind(tree.root, (), derive=False)
-
-    def _rebind(self, root, root_path: Path, derive: bool) -> list:
-        """Two-phase batch re-addressing of the subtree under ``root``,
-        which sits at ``root_path``, walked in left-first preorder.
-
-        Phase A computes each node's target once, decides which nodes
-        need a new address and releases their old values; phase B claims
-        in the same order.  Freeing first keeps a rotation from colliding
-        with addresses its own moved set is about to give up.
-
-        The walk carries each node's depth and heap id (a child's is
-        2*id + step).  The full pass ranks every node from scratch from
-        its heap id with the scheme's rank function (the per-node cost
-        that mode measures).  With ``derive`` a DFAT index follows in
-        O(1) from the parent's: it adds 1 or 2**(capacity - depth).
-        Only the subtree root and nodes just below the linear region
-        start from scratch.  Each index computed adds one to
-        :attr:`indexed_nodes`.
-        """
+        subtree under ``event.pivot``, walked in left-first preorder with
+        each node's depth and heap id (a child's is 2*id + step).  A DFAT
+        index follows in O(1) from the parent's, adding 1 or
+        2**(capacity - depth); only the subtree root, nodes just below the
+        linear region and level-order ranks are ranked from scratch.  Each
+        index computed adds one to :attr:`indexed_nodes`.  Returns
+        (node, old_addr, new_addr) relabels."""
         if self.identity_bound:
             return []
         records = self.records
-        space = self.space
+        release = self.space.release
         cutoff = self.linear_cutoff
-        rank = self._rank
+        ranks = self._ranks
         capacity = self.width
-        depth = len(root_path)
-        # Nodes deeper than ``scratch`` take their index from the parent;
-        # a level-order rank is O(1) from scratch, so it never derives.
-        scratch = max(cutoff, depth) if derive and rank is dfat_rank else capacity
-        stack = [(root, depth, position_id(root_path), 0)]
+        depth = len(event.pivot_path)
+        # Nodes deeper than ``scratch`` take their index from the parent.
+        scratch = max(cutoff, depth) if ranks is dfat_ranks else capacity
+        stack = [(event.pivot, depth, position_id(event.pivot_path), 0)]
         push = stack.append
         pop = stack.pop
         changers = []
         append = changers.append
-        release = space.release
         indexed = 0
         while stack:
             node, depth, heap_id, parent = pop()
@@ -429,7 +405,7 @@ class AddressAssigner:
             else:
                 indexed += 1
                 if depth <= scratch:
-                    index = rank(heap_id, depth, capacity)
+                    index = ranks((heap_id,), depth, capacity)[0]
                 elif heap_id & 1 == (depth - 1) & 1:  # first-visited child
                     index = parent + 1
                 else:
@@ -446,19 +422,83 @@ class AddressAssigner:
                 if rec.source == SOURCE_LINEAR:
                     continue  # identity-bound while it stays in the region
             elif rec.addr == target:
-                if rec.source != SOURCE_POSITIONAL:
-                    rec.source = SOURCE_POSITIONAL
+                rec.source = SOURCE_POSITIONAL
                 continue
             elif rec.source == SOURCE_SPARE and rec.bound_pos == heap_id:
                 continue  # spare binding is still for this position
             release(rec.addr)
-            append((node, heap_id, rec, target))
+            append((node, heap_id, rec, target, depth))
         self.indexed_nodes += indexed
+        return self._claim(changers)
 
-        relabels = []
+    def full_pass(self, tree: AvlTree) -> list:
+        """Whole-tree re-addressing sweep, one depth at a time.
+
+        Each level is decided once: linear region, depth overflow, or
+        positional, where one call of the scheme's rank function ranks
+        the whole level from scratch from its heap ids (each adds one to
+        :attr:`indexed_nodes`).  Nodes are kept, released and claimed by
+        the rules of :meth:`rebind_moved`, and claimed in its preorder,
+        so on a consistent tree both modes give the same relabels.
+        """
+        if self.identity_bound or tree.root is None:
+            return []
+        records = self.records
+        release = self.space.release
+        cutoff = self.linear_cutoff
+        capacity = self.width
+        nodes, heap_ids = [tree.root], [1]
+        depth = 0
+        changers = []
+        append = changers.append
+        while nodes:
+            if depth < cutoff:
+                targets = repeat(None)  # linear region
+            elif depth >= capacity:
+                targets = repeat(-1)  # depth overflow: no representable target
+            else:
+                targets = [index ^ (index >> 1)
+                           for index in self._ranks(heap_ids, depth, capacity)]
+                self.indexed_nodes += len(nodes)
+            below, below_ids = [], []
+            add, add_id = below.append, below_ids.append
+            for node, heap_id, target in zip(nodes, heap_ids, targets):
+                child = node.left
+                if child is not None:
+                    add(child)
+                    add_id(2 * heap_id)
+                child = node.right
+                if child is not None:
+                    add(child)
+                    add_id(2 * heap_id + 1)
+                rec = records[node]
+                if target is None:
+                    if rec.source == SOURCE_LINEAR:
+                        continue
+                elif rec.addr == target:
+                    rec.source = SOURCE_POSITIONAL
+                    continue
+                elif rec.source == SOURCE_SPARE and rec.bound_pos == heap_id:
+                    continue
+                release(rec.addr)
+                append((node, heap_id, rec, target, depth))
+            nodes, heap_ids = below, below_ids
+            depth += 1
+        # Heap ids shifted to one common depth order positions left-first;
+        # an ancestor ties with its leftmost descendants and goes first.
+        changers.sort(key=lambda c: (c[1] << (depth - c[4]), c[4]))
+        return self._claim(changers)
+
+    def _claim(self, changers) -> list:
+        """Binds ``changers`` (node, heap id, record, target, depth), in
+        order, to a linear value (target None), their free target or a
+        spare value, and returns the relabels.  The walks released their
+        old values first, so a rotation never collides with its own."""
+        space = self.space
         occupied = space.occupied
         null_word = space.null_word
-        for node, heap_id, rec, target in changers:
+        relabels = []
+        for node, heap_id, rec, target, _ in changers:
             old = rec.addr
             if target is None:
                 value, source, pos = space.allocate_next_linear(node), SOURCE_LINEAR, 0

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
@@ -289,6 +288,7 @@ def _map_trials(fn, tasks, jobs: int) -> list:
     """``fn`` over ``tasks``, in a process pool when ``jobs`` > 1; the
     (key, ...) outcomes come back sorted by key, whatever the schedule."""
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run skips its import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(fn, tasks, chunksize=1))
     else:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,10 @@ from hartsim.addressing import (
     Threshold,
     binary_to_gray,
     dfat_index,
+    dfat_ranks,
     gray_to_binary,
     level_order_index,
+    level_ranks,
     position_id,
     threshold_from_ratio,
     tree_height_estimate,
@@ -106,12 +109,33 @@ def _dfat_loop(path, capacity):
                for i, step in enumerate(path))
 
 
+def _level_loop(path):
+    """Reference: the heap position built one step at a time, minus one."""
+    position = 1
+    for step in path:
+        position = 2 * position + (step == RIGHT)
+    return position - 1
+
+
+def _path_of_heap_id(heap_id):
+    return tuple(RIGHT if bit == "1" else LEFT for bit in bin(heap_id)[3:])
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(path=st.lists(st.sampled_from((LEFT, RIGHT)), max_size=80).map(tuple),
-       extra=st.integers(1, 4))
-def test_dfat_closed_form_matches_the_step_loop(path, extra):
+       extra=st.integers(1, 4),
+       level=st.lists(st.integers(0, (1 << 80) - 1), max_size=6))
+def test_dfat_closed_form_matches_the_step_loop(path, extra, level):
     capacity = len(path) + extra
     assert dfat_index(path, capacity) == _dfat_loop(path, capacity)
+    # ``path`` and up to six more positions at its depth, ranked as one level
+    depth = len(path)
+    heap_ids = [position_id(path)] + [(1 << depth) | (bits & ((1 << depth) - 1))
+                                      for bits in level]
+    paths = [_path_of_heap_id(heap_id) for heap_id in heap_ids]
+    assert paths[0] == path
+    assert dfat_ranks(heap_ids, depth, capacity) == [_dfat_loop(p, capacity) for p in paths]
+    assert level_ranks(heap_ids, depth, capacity) == [_level_loop(p) for p in paths]
 
 
 def test_dfat_depth_overflow():
@@ -128,6 +152,18 @@ def test_level_order_index():
     assert level_order_index((RIGHT, LEFT), 4) == 5
     with pytest.raises(DepthOverflowError):
         level_order_index((LEFT, LEFT), 2)
+    # Whole levels, against a breadth-first count and the DFAT traversal.
+    for capacity in range(1, 11):
+        dfat = brute_force_dfat_ranks(capacity)
+        rank = 0
+        for depth in range(capacity):
+            paths = list(product((LEFT, RIGHT), repeat=depth))  # left to right
+            heap_ids = [position_id(path) for path in paths]
+            assert heap_ids == list(range(1 << depth, 2 << depth))
+            assert level_ranks(heap_ids, depth, capacity) == list(
+                range(rank, rank + len(paths)))
+            assert dfat_ranks(heap_ids, depth, capacity) == [dfat[p] for p in paths]
+            rank += len(paths)
 
 
 def test_position_id_unique_across_depths():

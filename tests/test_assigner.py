@@ -319,6 +319,45 @@ def test_full_pass_is_idempotent():
 
 
 @pytest.mark.parametrize(
+    "kind, ratio",
+    [(SchemeKind(tag), None) for tag in ("linear", "random", "gray", "dfat-gray")]
+    + [(SchemeKind.HART, Fraction(1, 2))],
+)
+def test_full_pass_of_an_empty_tree_relabels_nothing(kind, ratio):
+    assigner = AddressAssigner(SchemeConfig(kind, 8, ratio), num_nodes=63)
+    assert assigner.full_pass(AvlTree()) == []
+    assert assigner.indexed_nodes == 0
+
+
+def test_full_pass_claims_changed_nodes_in_preorder():
+    """Insert-time addresses only, no re-addressing at rotations (hart
+    1/2 at width 5, T = 3): one sweep then moves nodes into and out of
+    the linear region and past the deepest level the width can rank.
+    Linear and spare values depend on the order of the claims, and the
+    expected list is the left-first preorder one."""
+    assigner = AddressAssigner(
+        SchemeConfig(SchemeKind.HART, 5, Fraction(1, 2)), num_nodes=26)
+    tree = AvlTree()
+    for key in gen_dataset(26, 3):
+        tree.insert(key, on_attach=assigner.assign_on_insert)
+    depth = {node: len(path) for node, path in tree.nodes_with_paths()}
+    changed = assigner.full_pass(tree)
+    assert [(node.key, old, new) for node, old, new in changed] == [
+        (10, 21, 6), (3, 8, 7), (1, 4, 15), (8, 7, 8), (7, 18, 3), (9, 22, 4),
+        (13, 17, 9), (12, 6, 21), (14, 3, 18), (19, 9, 27), (17, 15, 30),
+        (21, 27, 26), (20, 30, 17), (22, 26, 20),
+    ]
+
+    def keys(source):
+        return [node.key for node, _, _ in changed
+                if assigner.records[node].source == source]
+
+    assert keys(SOURCE_LINEAR) == [10, 3, 8, 13]
+    assert keys(SOURCE_SPARE) == [7, 9, 20, 22]
+    assert [node.key for node, _, _ in changed if depth[node] >= 5] == [20, 22]
+
+
+@pytest.mark.parametrize(
     "kind, ratio, indexed",
     [
         (SchemeKind.GRAY, None, 15),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import importlib.util
 import json
@@ -369,13 +370,13 @@ def test_rotations_runs_every_width_through_one_pool(tmp_path, monkeypatch):
     argv = ["rotations", "--bits", "8-12", "--trials", "2", "--seed", "3"]
     assert main(argv + ["--output-dir", str(tmp_path / "serial")]) == 0
     pools = []
-    real_pool = harness.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
     def counting_pool(*args, **kwargs):
         pools.append(kwargs)
         return real_pool(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
     assert main(argv + ["--jobs", "2", "--output-dir", str(tmp_path / "pool")]) == 0
     assert len(pools) == 1
     for width in range(8, 13):
