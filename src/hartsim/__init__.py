@@ -18,7 +18,6 @@ from .addressing import (
     Threshold,
     binary_to_gray,
     dfat_index,
-    gray_to_binary,
     level_order_index,
     threshold_from_ratio,
     tree_height_estimate,
@@ -26,9 +25,7 @@ from .addressing import (
 from .avl import (
     AvlTree,
     DuplicateKeyError,
-    KeyNotFoundError,
     RotationEvent,
-    Violation,
 )
 from .harness import (
     ExperimentConfig,

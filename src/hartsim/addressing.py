@@ -50,33 +50,34 @@ def binary_to_gray(value: int, width: int) -> int:
     return value ^ (value >> 1)
 
 
-def gray_to_binary(gray: int, width: int) -> int:
-    """Inverse of :func:`binary_to_gray` (prefix XOR)."""
-    if not 0 <= gray < (1 << width):
-        raise ValueError(f"value {gray} out of range for {width} bits")
-    value = 0
-    while gray:
-        value ^= gray
-        gray >>= 1
-    return value
-
-
 # ----------------------------------------------------------------------
 # positional indexing
 # ----------------------------------------------------------------------
-def dfat_ranks(heap_ids, depth: int, depth_capacity: int) -> list:
-    """DFAT ranks of the positions with 1-based heap ids ``heap_ids``,
-    all at ``depth``; see :func:`dfat_index`."""
+def dfat_rank(heap_id: int, depth: int, depth_capacity: int) -> int:
+    """DFAT rank of the position with 1-based heap id ``heap_id`` at
+    ``depth``; see :func:`dfat_index`."""
     # XOR with 0b...0101 strips the leading 1 and flips the odd depths,
     # whose first-visited child is Right.
+    x = heap_id ^ (((4 << depth) - 1) // 3)
+    return depth - x.bit_count() + (x << (depth_capacity - depth))
+
+
+def dfat_ranks(heap_ids, depth: int, depth_capacity: int) -> list:
+    """:func:`dfat_rank` of every id in ``heap_ids``, all at ``depth``,
+    as one comprehension with no call per position."""
     flip = ((4 << depth) - 1) // 3
     shift = depth_capacity - depth
     return [depth - (x := heap_id ^ flip).bit_count() + (x << shift)
             for heap_id in heap_ids]
 
 
+def level_rank(heap_id: int, depth: int, depth_capacity: int) -> int:
+    """Level-order rank (root = 0) of the position with heap id ``heap_id``."""
+    return heap_id - 1
+
+
 def level_ranks(heap_ids, depth: int, depth_capacity: int) -> list:
-    """Level-order ranks (root = 0) of the positions with heap ids ``heap_ids``."""
+    """:func:`level_rank` of every id in ``heap_ids``."""
     return [heap_id - 1 for heap_id in heap_ids]
 
 
@@ -92,7 +93,7 @@ def dfat_index(path: Path, depth_capacity: int) -> int:
     depth - popcount(x) + (x << (capacity - depth)).
     """
     heap_id = level_order_index(path, depth_capacity) + 1
-    return dfat_ranks((heap_id,), len(path), depth_capacity)[0]
+    return dfat_rank(heap_id, len(path), depth_capacity)
 
 
 def level_order_index(path: Path, depth_capacity: int) -> int:
@@ -213,13 +214,8 @@ class AddressSpace:
         self._freed = []  # min-heap of values released below the cursor (may be stale)
         self._cursor = 0
 
-    def is_free(self, value: int) -> bool:
-        return (
-            0 <= value < self.null_word and value not in self.occupied
-        )
-
     def claim(self, value: int, node) -> int:
-        if not self.is_free(value):
+        if not 0 <= value < self.null_word or value in self.occupied:
             raise ValueError(f"address {value} is not free")
         self.occupied[value] = node
         return value
@@ -314,7 +310,8 @@ class AddressAssigner:
             self.linear_cutoff = self.threshold.level
         # Linear and random addresses stay with their node for good.
         self.identity_bound = config.kind in (SchemeKind.LINEAR, SchemeKind.RANDOM)
-        self._ranks = level_ranks if config.kind is SchemeKind.GRAY else dfat_ranks
+        self._rank, self._ranks = ((level_rank, level_ranks) if config.kind is SchemeKind.GRAY
+                                   else (dfat_rank, dfat_ranks))
         self._rng = None
         # Sparse Fisher-Yates: the random pool is the identity over its
         # first ``_left`` slots except where ``_swapped`` says otherwise.
@@ -351,7 +348,7 @@ class AddressAssigner:
         heap_id = position_id(path)
         target = -1  # depth overflow: no representable target
         if depth < self.width:
-            index = self._ranks((heap_id,), depth, self.width)[0]
+            index = self._rank(heap_id, depth, self.width)
             target = index ^ (index >> 1)
             occupied = self.space.occupied
             if target < self.space.null_word and target not in occupied:
@@ -385,11 +382,11 @@ class AddressAssigner:
         records = self.records
         release = self.space.release
         cutoff = self.linear_cutoff
-        ranks = self._ranks
+        rank = self._rank
         capacity = self.width
         depth = len(event.pivot_path)
         # Nodes deeper than ``scratch`` take their index from the parent.
-        scratch = max(cutoff, depth) if ranks is dfat_ranks else capacity
+        scratch = max(cutoff, depth) if rank is dfat_rank else capacity
         stack = [(event.pivot, depth, position_id(event.pivot_path), 0)]
         push = stack.append
         pop = stack.pop
@@ -405,7 +402,7 @@ class AddressAssigner:
             else:
                 indexed += 1
                 if depth <= scratch:
-                    index = ranks((heap_id,), depth, capacity)[0]
+                    index = rank(heap_id, depth, capacity)
                 elif heap_id & 1 == (depth - 1) & 1:  # first-visited child
                     index = parent + 1
                 else:

@@ -13,8 +13,7 @@ depth ``d`` sits at level ``d + ROOT_LEVEL``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 LEFT = 0
 RIGHT = 1
@@ -31,10 +30,6 @@ class DuplicateKeyError(ValueError):
     """Raised when inserting a key that is already in the tree."""
 
 
-class KeyNotFoundError(KeyError):
-    """Raised when looking up a key that is not in the tree."""
-
-
 class Node:
     """One tree node; ``height`` is cached (leaf = 1)."""
 
@@ -45,9 +40,6 @@ class Node:
         self.left: Optional[Node] = None
         self.right: Optional[Node] = None
         self.height = 1
-
-    def __repr__(self):  # pragma: no cover
-        return f"<Node key={self.key} h={self.height}>"
 
 
 class RotationEvent:
@@ -133,14 +125,6 @@ class RotationEvent:
         return moved
 
 
-@dataclass
-class Violation:
-    """First structural defect found by :meth:`AvlTree.validate`."""
-
-    path: Path
-    reason: str
-
-
 class AvlTree:
     """AVL tree over distinct integer keys with rotation instrumentation."""
 
@@ -150,14 +134,6 @@ class AvlTree:
 
     def __len__(self) -> int:
         return self.size
-
-    def __contains__(self, key: int) -> bool:
-        node = self.root
-        while node is not None:
-            if key == node.key:
-                return True
-            node = node.left if key < node.key else node.right
-        return False
 
     # ------------------------------------------------------------------
     # insertion
@@ -309,41 +285,6 @@ class AvlTree:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def path_of(self, key: int) -> Path:
-        """Left/Right step sequence from the root to ``key``."""
-        steps = []
-        node = self.root
-        while node is not None:
-            if key == node.key:
-                return tuple(steps)
-            if key < node.key:
-                steps.append(LEFT)
-                node = node.left
-            else:
-                steps.append(RIGHT)
-                node = node.right
-        raise KeyNotFoundError(key)
-
-    def node_at(self, path: Path) -> Node:
-        node = self.root
-        for step in path:
-            node = node.left if step == LEFT else node.right
-        return node
-
-    def height(self) -> int:
-        return self.root.height if self.root is not None else 0
-
-    def inorder_keys(self) -> Iterator[int]:
-        stack = []
-        node = self.root
-        while stack or node is not None:
-            while node is not None:
-                stack.append(node)
-                node = node.left
-            node = stack.pop()
-            yield node.key
-            node = node.right
-
     def nodes_with_paths(self) -> list:
         """Preorder (node, path) pairs for the whole tree."""
         out = []
@@ -356,47 +297,3 @@ class AvlTree:
             if node.left is not None:
                 stack.append((node.left, path + (LEFT,)))
         return out
-
-    # ------------------------------------------------------------------
-    # validation
-    # ------------------------------------------------------------------
-    def validate(self) -> Optional[Violation]:
-        """Check BST order, cached heights and AVL balance everywhere.
-
-        Returns the first violation found, or None if the tree is sound.
-        The hot loop avoids building paths; the offending node's path is
-        reconstructed only when a defect is actually found.
-        """
-        root = self.root
-        if root is None:
-            return None
-        stack = [(root, None, None)]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            node, lo, hi = pop()
-            key = node.key
-            if lo is not None and key <= lo:
-                return Violation(self._locate(node), f"key {key} <= bound {lo}")
-            if hi is not None and key >= hi:
-                return Violation(self._locate(node), f"key {key} >= bound {hi}")
-            left = node.left
-            right = node.right
-            lh = left.height if left is not None else 0
-            rh = right.height if right is not None else 0
-            if node.height != (lh if lh > rh else rh) + 1:
-                return Violation(
-                    self._locate(node),
-                    f"cached height {node.height} != {max(lh, rh) + 1}",
-                )
-            if rh - lh > 1 or lh - rh > 1:
-                return Violation(self._locate(node), f"balance {rh - lh}")
-            if left is not None:
-                push((left, lo, key))
-            if right is not None:
-                push((right, key, hi))
-        return None
-
-    def _locate(self, target: Node) -> Path:
-        """Path to a node object, by identity (order may be corrupt)."""
-        return next(path for node, path in self.nodes_with_paths() if node is target)

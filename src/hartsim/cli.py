@@ -28,7 +28,7 @@ from .addressing import (
     SOURCE_RANDOM,
     SOURCE_SPARE,
 )
-from .avl import AvlTree
+from .avl import ROOT_LEVEL, AvlTree
 from .harness import (
     DEFAULT_RATIOS,
     DEFAULT_TRIALS,
@@ -265,7 +265,7 @@ def cmd_assign_dump(args) -> int:
     for node, path in sorted(tree.nodes_with_paths(), key=lambda np: np[0].key):
         rec = assigner.records[node]
         region = _REGION_NAMES.get(rec.source, positional_name)
-        rows.append((node.key, len(path) + 1, region, dfat_index(path, width),
+        rows.append((node.key, len(path) + ROOT_LEVEL, region, dfat_index(path, width),
                      format(rec.addr, f"0{width}b")))
     if args.out == "json":
         write_series_json(sys.stdout, header, rows)

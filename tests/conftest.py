@@ -1,8 +1,11 @@
 """Shared oracles and helpers.
 
 The oracles here deliberately avoid the library's own shortcuts: DFAT
-ranks come from an explicit traversal of the complete tree, and flip
-totals come from full before/after snapshots of every stored word.
+ranks come from an explicit traversal of the complete tree, flip totals
+come from full before/after snapshots of every stored word,
+``avl_defect`` checks a tree's key order, cached heights and balance in
+one in-order walk, and ``gray_to_binary`` inverts a Gray code by prefix
+XOR.
 """
 
 import sys
@@ -74,6 +77,45 @@ def snapshot_flip_diff(before, after):
         elif owner0 is not owner1 and word0 != word1:
             total += bit_flips(word0, word1)
     return total
+
+
+def avl_defect(tree):
+    """First defect in in-order, as (path, reason), or None if the keys
+    rise strictly (the BST order) and every node's cached height and
+    balance are right.  The path is looked up only on failure."""
+    stack, node, prev = [], tree.root, None
+    push, pop = stack.append, stack.pop
+    while stack or node is not None:
+        while node is not None:
+            push(node)
+            node = node.left
+        node = pop()
+        left, right = node.left, node.right
+        lh = left.height if left is not None else 0
+        rh = right.height if right is not None else 0
+        if prev is not None and prev.key >= node.key:
+            # Of two neighbours out of order, the descendant breaks its
+            # ancestor's bound: ``node`` if it is in prev's right subtree.
+            bad = node if prev.right is not None else prev
+            reason = f"key {bad.key} out of order"
+        elif node.height != (lh if lh > rh else rh) + 1:
+            bad, reason = node, f"cached height {node.height} != {max(lh, rh) + 1}"
+        elif rh - lh > 1 or lh - rh > 1:
+            bad, reason = node, f"balance {rh - lh}"
+        else:
+            prev, node = node, right
+            continue
+        return next(p for n, p in tree.nodes_with_paths() if n is bad), reason
+    return None
+
+
+def gray_to_binary(gray):
+    """Inverse of ``binary_to_gray``: the prefix XOR of the code."""
+    value = 0
+    while gray:
+        value ^= gray
+        gray >>= 1
+    return value
 
 
 def build_tree(keys):

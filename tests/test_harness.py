@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import avl_defect
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import SchemeConfig, SchemeKind, Threshold
 from hartsim.avl import AvlTree
@@ -220,8 +221,8 @@ def test_balanced_insertion_order_builds_without_rotations():
         tree = AvlTree()
         for key in balanced_insertion_order(n):
             assert tree.insert(key) == []
-        assert tree.validate() is None
-        assert list(tree.inorder_keys()) == list(range(n))
+        assert avl_defect(tree) is None  # so in-order is sorted order
+        assert sorted(node.key for node, _ in tree.nodes_with_paths()) == list(range(n))
 
 
 def test_full_pass_mode_trial_matches_incremental():
