@@ -31,7 +31,7 @@ def bit_flips(old: int, new: int) -> int:
 
 
 class WordWrite:
-    """One recorded word rewrite; no-op writes are never recorded.
+    """One word rewrite handed to a rotation hook; never a no-op.
 
     ``location`` is (owner_node, side) for a pointer field, ROOT_SLOT
     for the root pointer, or ("label", node) for a node relabel.
@@ -90,19 +90,17 @@ class FlipLedger:
 
 def record_rotation(
     event: RotationEvent,
-    relabels,
-    pointer_rewrites,
+    relabel_flips: int,
+    pointer_flips: int,
     ledger: FlipLedger,
     acct: AccountingConfig,
 ) -> FlipLedger:
-    """Credit one rotation's writes to its pivot level."""
+    """Credit one rotation and its counted categories' flips to its level."""
     flips = 0
     if acct.count_pointer_rewrites:
-        for write in pointer_rewrites:
-            flips += bit_flips(write.old, write.new)
+        flips += pointer_flips
     if acct.count_node_relabels:
-        for write in relabels:
-            flips += bit_flips(write.old, write.new)
+        flips += relabel_flips
     level = event.pivot_level
     ledger.total_rotations += 1
     ledger.rotations_per_level[level] = ledger.rotations_per_level.get(level, 0) + 1
@@ -110,4 +108,3 @@ def record_rotation(
         ledger.total_flips += flips
         ledger.flips_per_level[level] = ledger.flips_per_level.get(level, 0) + flips
     return ledger
-

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Optional
 
-from .avl import LEFT, RIGHT, AvlTree, Path
+from .avl import LEFT, RIGHT, ROOT_LEVEL, AvlTree, Path
 
 
 class CapacityError(RuntimeError):
@@ -154,9 +154,6 @@ class SchemeKind(str, Enum):
     DFAT_GRAY = "dfat-gray"
     HART = "hart"
 
-    def __str__(self) -> str:  # pragma: no cover
-        return self.value
-
 
 def check_ratio(kind: SchemeKind, ratio) -> Optional[Fraction]:
     """The threshold ratio a scheme takes, as a Fraction: hart needs one
@@ -186,10 +183,6 @@ class SchemeConfig:
             raise ValueError("pointer_width must be at least 2 bits")
         ratio = check_ratio(self.kind, self.threshold_ratio)
         object.__setattr__(self, "threshold_ratio", ratio)
-
-    @property
-    def tag(self) -> str:
-        return self.kind.value
 
 
 # ----------------------------------------------------------------------
@@ -231,22 +224,16 @@ class AddressSpace:
         freed = self._freed
         while freed and freed[0] in occupied:  # drop stale entries
             heapq.heappop(freed)
-        cursor = self._cursor
-        limit = self.null_word
-        while cursor < limit and cursor in occupied:
-            cursor += 1
-        self._cursor = cursor
-        candidates = []
-        if freed:
-            candidates.append(freed[0])
-        if cursor < limit:
-            candidates.append(cursor)
-        if not candidates:
-            raise CapacityError(f"address space of width {self.width} exhausted")
-        value = min(candidates)
-        if freed and value == freed[0]:
-            heapq.heappop(freed)
-        self.occupied[value] = node
+        if freed:  # every free value below the cursor is in the heap
+            value = heapq.heappop(freed)
+        else:
+            value, limit = self._cursor, self.null_word
+            while value < limit and value in occupied:
+                value += 1
+            if value == limit:
+                raise CapacityError(f"address space of width {self.width} exhausted")
+            self._cursor = value
+        occupied[value] = node
         self.spare_allocations += 1
         return value
 
@@ -312,16 +299,15 @@ class AddressAssigner:
         self.identity_bound = config.kind in (SchemeKind.LINEAR, SchemeKind.RANDOM)
         self._rank, self._ranks = ((level_rank, level_ranks) if config.kind is SchemeKind.GRAY
                                    else (dfat_rank, dfat_ranks))
-        self._rng = None
         # Sparse Fisher-Yates: the random pool is the identity over its
         # first ``_left`` slots except where ``_swapped`` says otherwise.
         self._left = self.space.null_word
         self._swapped: dict = {}
-        if config.kind is SchemeKind.RANDOM:
-            self._rng = random.Random(config.seed)
+        self._rng = random.Random(config.seed) if config.kind is SchemeKind.RANDOM else None
 
     # -- insertion -----------------------------------------------------
-    def assign_on_insert(self, node, path: Path) -> int:
+    def assign_on_insert(self, node, depth: int, heap_id: int) -> int:
+        """Address a new leaf; an ``on_attach`` of :meth:`AvlTree.insert`."""
         kind = self.config.kind
         if kind is SchemeKind.RANDOM:
             left = self._left
@@ -339,13 +325,11 @@ class AddressAssigner:
             self.records[node] = AddressRecord(value, SOURCE_RANDOM, 0)
             return value
 
-        depth = len(path)
         if depth < self.linear_cutoff:
             value = self.space.allocate_next_linear(node)
             self.records[node] = AddressRecord(value, SOURCE_LINEAR, 0)
             return value
 
-        heap_id = position_id(path)
         target = -1  # depth overflow: no representable target
         if depth < self.width:
             index = self._rank(heap_id, depth, self.width)
@@ -370,8 +354,9 @@ class AddressAssigner:
     # -- re-assignment after rotations ----------------------------------
     def rebind_moved(self, event) -> list:
         """Incremental re-addressing of a rotation's moved nodes: the
-        subtree under ``event.pivot``, walked in left-first preorder with
-        each node's depth and heap id (a child's is 2*id + step).  A DFAT
+        subtree under ``event.pivot``, walked in left-first preorder from
+        ``event.pivot_id`` with each node's depth and heap id (a child's
+        is 2*id + step).  A DFAT
         index follows in O(1) from the parent's, adding 1 or
         2**(capacity - depth); only the subtree root, nodes just below the
         linear region and level-order ranks are ranked from scratch.  Each
@@ -384,10 +369,10 @@ class AddressAssigner:
         cutoff = self.linear_cutoff
         rank = self._rank
         capacity = self.width
-        depth = len(event.pivot_path)
+        depth = event.pivot_level - ROOT_LEVEL
         # Nodes deeper than ``scratch`` take their index from the parent.
         scratch = max(cutoff, depth) if rank is dfat_rank else capacity
-        stack = [(event.pivot, depth, position_id(event.pivot_path), 0)]
+        stack = [(event.pivot, depth, event.pivot_id, 0)]
         push = stack.append
         pop = stack.pop
         changers = []

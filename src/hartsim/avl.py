@@ -8,7 +8,8 @@ two events; this is the counting convention used by every statistic
 downstream.
 
 Levels are 1-based: the root sits at level ``ROOT_LEVEL`` and a node at
-depth ``d`` sits at level ``d + ROOT_LEVEL``.
+depth ``d`` sits at level ``d + ROOT_LEVEL``.  Positions are integers on
+the insert path: a depth and a heap id (root 1, a child ``2*id + step``).
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ class RotationEvent:
     """One single rotation.
 
     ``kind`` names the imbalance case ("LL", "RR", "LR", "RL"); both
-    halves of a double rotation carry the double's kind.  ``pivot_path``
-    is the path of the rotated subtree's slot (old and new subtree root).
+    halves of a double rotation carry the double's kind.  The slot of the
+    rotated subtree (old and new subtree root) has level ``pivot_level``
+    and heap id ``pivot_id``; ``pivot_path`` is derived from the two.
     ``rewired`` lists the pointer slots that link a different node, as
     ``(slot, old_child, new_child)``: the slot above the subtree, then
     the sub-root's and the pivot's inner fields unless the subtree
@@ -67,16 +69,23 @@ class RotationEvent:
     first read after it raises :class:`RuntimeError`.
     """
 
-    __slots__ = ("kind", "pivot_level", "pivot_path", "rewired", "_walk", "_moved")
+    __slots__ = ("kind", "pivot_level", "pivot_id", "rewired", "_walk", "_moved")
 
-    def __init__(self, kind: str, pivot_level: int, pivot_path: Path,
+    def __init__(self, kind: str, pivot_level: int, pivot_id: int,
                  rewired: list, walk: Optional[tuple]):
         self.kind = kind
         self.pivot_level = pivot_level
-        self.pivot_path = pivot_path
+        self.pivot_id = pivot_id
         self.rewired = rewired
         self._walk = walk
         self._moved = None
+
+    @property
+    def pivot_path(self) -> Path:
+        """The bits of ``pivot_id`` below its leading 1, as steps."""
+        heap_id = self.pivot_id
+        return tuple((heap_id >> shift) & 1
+                     for shift in range(self.pivot_level - ROOT_LEVEL - 1, -1, -1))
 
     @property
     def pivot(self) -> Node:
@@ -147,8 +156,8 @@ class AvlTree:
     ) -> list:
         """Insert ``key`` and rebalance; returns the rotation events.
 
-        ``on_attach(node, path)`` fires right after the new leaf is
-        linked, before any rotation.  ``before_rotation(subtree_root,
+        ``on_attach(node, depth, heap_id)`` fires right after the new
+        leaf is linked, before any rotation.  ``before_rotation(subtree_root,
         kind)`` fires before each single rotation mutates the tree;
         ``on_rotation(event)`` fires right after it.
         """
@@ -156,39 +165,40 @@ class AvlTree:
             self.root = leaf = Node(key)
             self.size += 1
             if on_attach is not None:
-                on_attach(leaf, ())
+                on_attach(leaf, 0, 1)
             return []
 
         lineage = []  # nodes along the descent
-        steps = []  # the step taken from each of them
+        heap_id = 1
         node = self.root
         while True:
             if key == node.key:
                 raise DuplicateKeyError(f"duplicate key {key!r}")
             lineage.append(node)
             if key < node.key:
-                steps.append(LEFT)
+                heap_id = 2 * heap_id
                 nxt = node.left
                 if nxt is None:
                     node.left = leaf = Node(key)
                     break
             else:
-                steps.append(RIGHT)
+                heap_id = 2 * heap_id + 1
                 nxt = node.right
                 if nxt is None:
                     node.right = leaf = Node(key)
                     break
             node = nxt
         self.size += 1
+        depth = len(lineage)
         if on_attach is not None:
-            on_attach(leaf, tuple(steps))
+            on_attach(leaf, depth, heap_id)
 
         # Climb back up refreshing cached heights.  The first ancestor
         # whose balance reaches +-2 is rebalanced; an insert needs at
         # most one rebalancing, after which subtree heights are back to
         # their pre-insert values and the climb can stop.
         events: list = []
-        for i in range(len(lineage) - 1, -1, -1):
+        for i in range(depth - 1, -1, -1):
             parent = lineage[i]
             left, right = parent.left, parent.right
             lh = left.height if left is not None else 0
@@ -196,12 +206,13 @@ class AvlTree:
             balance = rh - lh
             if balance > 1 or balance < -1:
                 if i:
-                    attach_parent, attach_side = lineage[i - 1], steps[i - 1]
+                    attach_parent = lineage[i - 1]
+                    attach_side = LEFT if key < attach_parent.key else RIGHT
                 else:
                     attach_parent, attach_side = None, None
                 self._rebalance(
-                    parent, balance, tuple(steps[:i]), attach_parent,
-                    attach_side, events, before_rotation, on_rotation,
+                    parent, balance, i + ROOT_LEVEL, heap_id >> (depth - i),
+                    attach_parent, attach_side, events, before_rotation, on_rotation,
                 )
                 break
             new_height = (lh if lh > rh else rh) + 1
@@ -210,36 +221,24 @@ class AvlTree:
             parent.height = new_height
         return events
 
-    def _rebalance(self, z, balance, z_path, attach_parent, attach_side,
+    def _rebalance(self, z, balance, level, z_id, attach_parent, attach_side,
                    events, before_rotation, on_rotation):
-        if balance > 0:
-            y = z.right
-            ylh = y.left.height if y.left is not None else 0
-            yrh = y.right.height if y.right is not None else 0
-            if yrh >= ylh:
-                self._rotate(z, LEFT, z_path, attach_parent, attach_side,
-                             "RR", events, before_rotation, on_rotation)
-            else:
-                # RL: right-rotate the child, then left-rotate the pivot.
-                self._rotate(y, RIGHT, z_path + (RIGHT,), z, RIGHT,
-                             "RL", events, before_rotation, on_rotation)
-                self._rotate(z, LEFT, z_path, attach_parent, attach_side,
-                             "RL", events, before_rotation, on_rotation)
+        heavy = RIGHT if balance > 0 else LEFT
+        y = z.right if heavy == RIGHT else z.left
+        ylh = y.left.height if y.left is not None else 0
+        yrh = y.right.height if y.right is not None else 0
+        if ylh > yrh if heavy == RIGHT else yrh > ylh:
+            # RL (LR): rotate the child toward the heavy side, then z away.
+            kind = "RL" if heavy == RIGHT else "LR"
+            self._rotate(y, heavy, level + 1, 2 * z_id + heavy, z, heavy,
+                         kind, events, before_rotation, on_rotation)
         else:
-            y = z.left
-            ylh = y.left.height if y.left is not None else 0
-            yrh = y.right.height if y.right is not None else 0
-            if ylh >= yrh:
-                self._rotate(z, RIGHT, z_path, attach_parent, attach_side,
-                             "LL", events, before_rotation, on_rotation)
-            else:
-                self._rotate(y, LEFT, z_path + (LEFT,), z, LEFT,
-                             "LR", events, before_rotation, on_rotation)
-                self._rotate(z, RIGHT, z_path, attach_parent, attach_side,
-                             "LR", events, before_rotation, on_rotation)
+            kind = "RR" if heavy == RIGHT else "LL"
+        self._rotate(z, 1 - heavy, level, z_id, attach_parent, attach_side,
+                     kind, events, before_rotation, on_rotation)
 
-    def _rotate(self, sub_root, direction, path, attach_parent, attach_side,
-                kind, events, before_rotation, on_rotation):
+    def _rotate(self, sub_root, direction, level, heap_id, attach_parent,
+                attach_side, kind, events, before_rotation, on_rotation):
         """Perform one single rotation at ``sub_root`` and emit its event.
 
         ``direction`` is the rotation direction: LEFT hoists the right
@@ -257,10 +256,13 @@ class AvlTree:
             outer, inner, far = sub_root.right, pivot.right, pivot.left
             sub_root.left, pivot.right = inner, sub_root
 
-        for n in (sub_root, pivot):  # order matters: sub_root is now below
-            lh = n.left.height if n.left is not None else 0
-            rh = n.right.height if n.right is not None else 0
-            n.height = (lh if lh > rh else rh) + 1
+        # sub_root now holds outer and inner, and the pivot sub_root and far.
+        oh = outer.height if outer is not None else 0
+        ih = inner.height if inner is not None else 0
+        height = (oh if oh > ih else ih) + 1
+        sub_root.height = height
+        fh = far.height if far is not None else 0
+        pivot.height = (height if height > fh else fh) + 1
 
         if attach_parent is None:
             self.root = pivot
@@ -275,7 +277,7 @@ class AvlTree:
                         ((pivot, direction), inner, sub_root)]
 
         event = RotationEvent(
-            kind, len(path) + ROOT_LEVEL, path, rewired,
+            kind, level, heap_id, rewired,
             (self, self.size, pivot, sub_root, direction, outer, inner, far),
         )
         events.append(event)

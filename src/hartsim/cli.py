@@ -39,6 +39,7 @@ from .harness import (
     ExperimentConfig,
     SchemeSpec,
     balanced_insertion_order,
+    check_tree_size,
     compare_thresholds,
     nodes_for_width,
     rotations_histograms,
@@ -67,6 +68,7 @@ def parse_bits(text: str) -> list:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError(f"empty width range {chunk!r}")
+            nodes_for_width(hi)  # a range past the widest tree fails unlisted
             widths.extend(range(lo, hi + 1))
         else:
             widths.append(int(chunk))
@@ -109,22 +111,13 @@ def parse_schemes(text: str, ratio: Fraction) -> list:
         tags = [kind.value for kind in SchemeKind]
     else:
         tags = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
-    specs = []
-    for tag in tags:
-        kind = SchemeKind(tag)
-        if kind is SchemeKind.HART:
-            specs.append(SchemeSpec(kind, ratio))
-        else:
-            specs.append(SchemeSpec(kind))
-    return specs
+    return [SchemeSpec(kind, ratio if kind is SchemeKind.HART else None)
+            for kind in map(SchemeKind, tags)]
 
 
 def accounting_from_flag(value: str) -> AccountingConfig:
-    if value == "pointer":
-        return AccountingConfig(True, False)
-    if value == "relabel":
-        return AccountingConfig(False, True)
-    return AccountingConfig(True, True)
+    """The write categories an ``--accounting`` value counts."""
+    return AccountingConfig(value != "relabel", value != "pointer")
 
 
 def _write_file(args, name, write, *table) -> str:
@@ -174,9 +167,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare_thresholds(args) -> int:
-    num_nodes = tree_size(args)
-    if num_nodes < 1:
-        raise ValueError("--nodes must be >= 1")
+    num_nodes = check_tree_size(tree_size(args))
     ratios = (
         tuple(parse_ratio(text) for text in args.ratios.split(","))
         if args.ratios

@@ -5,7 +5,9 @@ insertion assigns an address under the configured scheme, and every
 rotation re-addresses moved nodes and records the resulting bit flips.
 Wall time is accumulated over the addressing-side work only (address
 computation, conflict resolution, re-assignment, flip accounting); pure
-tree insertion is excluded, so scheme timings stay comparable.
+tree insertion is excluded, so scheme timings stay comparable.  Flip
+counts are summed as ints for ``record_rotation``; only an
+``after_rotation_hook`` gets ``WordWrite`` lists.
 
 Trials are independent and reproducible: all randomness derives from
 (base_seed, width, scheme, trial index), and the key permutation for a
@@ -49,12 +51,35 @@ DEFAULT_TRIALS = 100
 DEFAULT_RATIOS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 _DOUBLE_KINDS = ("LR", "RL")
 
+#: Most nodes one trial may build, nodes_for_width(24).  A width-14 trial
+#: peaks at 260-360 bytes per node under tracemalloc (key list, tree
+#: node, address record, dict entries); at 512 with headroom, 2**22 nodes
+#: take 2 GiB, so two pool workers fit in 8 GiB of memory with room left.
+MAX_NODES = (1 << 22) - 1
+
+
+def check_tree_size(num_nodes: int) -> int:
+    """``num_nodes`` if one trial can build a tree that large."""
+    if not 1 <= num_nodes <= MAX_NODES:
+        raise ValueError(f"{num_nodes} nodes outside [1, {MAX_NODES}]: "
+                         "a larger tree does not fit in memory")
+    return num_nodes
+
 
 def nodes_for_width(width: int) -> int:
     """Node count paired with a pointer width: 2**(width-2) - 1."""
-    if width < 3:
-        raise ValueError("width must be at least 3")
+    if not 3 <= width <= MAX_NODES.bit_length() + 2:
+        raise ValueError(f"width {width} outside [3, {MAX_NODES.bit_length() + 2}]: "
+                         "a wider tree does not fit in memory")
     return (1 << (width - 2)) - 1
+
+
+def check_modes(reassign_mode: str, rotation_counting: str) -> None:
+    """The one check of the mode and counting names."""
+    if reassign_mode not in REASSIGN_MODES:
+        raise ValueError(f"unknown reassign mode {reassign_mode!r}")
+    if rotation_counting not in ROTATION_COUNTINGS:
+        raise ValueError(f"unknown rotation counting {rotation_counting!r}")
 
 
 def _derive(*parts) -> int:
@@ -111,10 +136,7 @@ class TrialRunner:
         num_nodes: Optional[int] = None,
         rotation_counting: str = PER_CASE,
     ):
-        if reassign_mode not in REASSIGN_MODES:
-            raise ValueError(f"unknown reassign mode {reassign_mode!r}")
-        if rotation_counting not in ROTATION_COUNTINGS:
-            raise ValueError(f"unknown rotation counting {rotation_counting!r}")
+        check_modes(reassign_mode, rotation_counting)
         self.tree = AvlTree()
         self.assigner = AddressAssigner(scheme, num_nodes)
         self.ledger = FlipLedger()
@@ -136,18 +158,21 @@ class TrialRunner:
         )
 
     def run(self, keys) -> None:
-        insert = self.insert
+        """Insert ``keys``: one tree call per key, hooks bound once."""
+        insert = self.tree.insert
+        on_attach, on_rotation = self._on_attach, self._on_rotation
+        before = self.before_rotation_hook
         for key in keys:
-            insert(key)
+            insert(key, on_attach, before, on_rotation)
             if self._pending_half is not None:
                 raise RuntimeError("double rotation emitted an odd event count")
         self.ledger.overflow_fallbacks = self.assigner.overflow_fallbacks
         self.ledger.indexed_nodes = self.assigner.indexed_nodes
 
     # -- hooks -----------------------------------------------------------
-    def _on_attach(self, node, path) -> None:
+    def _on_attach(self, node, depth, heap_id) -> None:
         t0 = perf_counter()
-        self.assigner.assign_on_insert(node, path)
+        self.assigner.assign_on_insert(node, depth, heap_id)
         self.addressing_seconds += perf_counter() - t0
 
     def _on_rotation(self, event) -> None:
@@ -155,42 +180,45 @@ class TrialRunner:
         records = self.assigner.records
         hook = self.after_rotation_hook
         acct = self.accounting
-        # Writes of a category that is not counted are not built unless
-        # a hook looks at them.
-        watched = hook is not None
-        rewired = event.rewired if watched or acct.count_pointer_rewrites else ()
+        # Old slot words are read only if pointer rewrites count or a hook looks.
+        count_pointers = acct.count_pointer_rewrites
+        rewired = event.rewired if count_pointers or hook is not None else ()
         old_words = [records[old].addr for _, old, _ in rewired]
         if self.reassign_mode == FULL_PASS:
             relabels = self.assigner.full_pass(self.tree)
         elif self.assigner.identity_bound:
-            relabels = []  # no moved set to walk: nothing is re-addressed
+            relabels = ()  # no moved set to walk: nothing is re-addressed
         else:
             relabels = self.assigner.rebind_moved(event)
-        # A pointer rewrite is a slot that points at a *different* node
-        # (one the rotation rewired) and whose stored word actually
-        # changed.  Slots that keep their child but see its address
-        # change are relabel propagation, charged as relabels instead.
-        rewrites = [
-            WordWrite(slot, old_word, records[new].addr)
-            for (slot, _, new), old_word in zip(rewired, old_words)
-            if records[new].addr != old_word
-        ]
-        relabel_writes = [
-            WordWrite(("label", node), old, new) for node, old, new in relabels
-        ] if watched or acct.count_node_relabels else []
+        # A pointer rewrite is a slot that now links a *different* node (a
+        # rewired one).  Slots that keep their child but see its address
+        # change are relabel propagation, charged as relabels.
+        pointer_flips = relabel_flips = 0
+        if count_pointers:
+            for (_, _, new), old_word in zip(rewired, old_words):
+                pointer_flips += (old_word ^ records[new].addr).bit_count()
+        if acct.count_node_relabels:
+            for _, old, new in relabels:
+                relabel_flips += (old ^ new).bit_count()
         held = self._pending_half
         if held is not None:  # second half of a double, per-case mode
             self._pending_half = None
-            record_rotation(event, held[0] + relabel_writes,
-                            held[1] + rewrites, self.ledger, acct)
+            record_rotation(event, held[0] + relabel_flips,
+                            held[1] + pointer_flips, self.ledger, acct)
         elif self.rotation_counting == PER_CASE and event.kind in _DOUBLE_KINDS:
-            # First half of a double: hold its writes for the case.
-            self._pending_half = (relabel_writes, rewrites)
+            # First half of a double: hold its flips for the case.
+            self._pending_half = (relabel_flips, pointer_flips)
         else:
-            record_rotation(event, relabel_writes, rewrites, self.ledger, acct)
+            record_rotation(event, relabel_flips, pointer_flips, self.ledger, acct)
         self.addressing_seconds += perf_counter() - t0
-        if watched:
-            hook(event, relabel_writes, rewrites)
+        if hook is not None:  # the writes themselves, outside the timed span
+            rewrites = [
+                WordWrite(slot, old_word, records[new].addr)
+                for (slot, _, new), old_word in zip(rewired, old_words)
+                if records[new].addr != old_word
+            ]
+            hook(event, [WordWrite(("label", node), old, new)
+                         for node, old, new in relabels], rewrites)
 
 
 def run_trial(
@@ -249,16 +277,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for width in self.widths:
-            if not 8 <= width <= 63:
-                raise ValueError(f"width {width} outside [8, 63]")
+            if width < 8:
+                raise ValueError(f"width {width} below 8")
+            nodes_for_width(width)  # a tree too large to build fails here
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.reassign_mode not in REASSIGN_MODES:
-            raise ValueError(f"unknown reassign mode {self.reassign_mode!r}")
-        if self.rotation_counting not in ROTATION_COUNTINGS:
-            raise ValueError(
-                f"unknown rotation counting {self.rotation_counting!r}"
-            )
+        check_modes(self.reassign_mode, self.rotation_counting)
 
 
 @dataclass
@@ -317,6 +341,8 @@ def _run_cells(cells, trials: int, base_seed: int,
         raise ValueError("trials must be >= 1")
     if accounting is None:
         accounting = AccountingConfig()
+    for width, _, num_nodes in cells:  # fail before any trial allocates
+        check_tree_size(nodes_for_width(width) if num_nodes is None else num_nodes)
     tasks = [
         (cell, trial, width, spec, base_seed, accounting, reassign_mode,
          num_nodes, rotation_counting)
@@ -408,8 +434,7 @@ def rotations_histograms(
     so one process pool serves them all.  Addressing-independent."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if rotation_counting not in ROTATION_COUNTINGS:
-        raise ValueError(f"unknown rotation counting {rotation_counting!r}")
+    check_modes(INCREMENTAL, rotation_counting)
     tasks = [
         (index, width, trial, base_seed, nodes_for_width(width), rotation_counting)
         for index, width in enumerate(widths)

@@ -12,9 +12,12 @@ from hartsim.accounting import (
 )
 from hartsim.addressing import SchemeConfig, SchemeKind
 from hartsim.avl import RotationEvent
+from hartsim import harness
 from hartsim.harness import (
     DECOMPOSED,
+    FULL_PASS,
     INCREMENTAL,
+    PER_CASE,
     TrialRunner,
     gen_dataset,
     nodes_for_width,
@@ -72,13 +75,13 @@ def test_relabel_accounting_of_three_node_fixture():
 
 
 def test_identical_rotations_double_every_field():
-    event = RotationEvent("RR", 2, (0,), [], None)
-    write = WordWrite(("root",), 0, 3)
+    event = RotationEvent("RR", 2, 2, [], None)  # pivot at path (LEFT,)
+    flips = bit_flips(0, 3)  # one pointer rewrite 0 -> 3
     single = FlipLedger()
-    record_rotation(event, [], [write], single, AccountingConfig())
+    record_rotation(event, 0, flips, single, AccountingConfig())
     doubled = FlipLedger()
     for _ in range(2):
-        record_rotation(event, [], [write], doubled, AccountingConfig())
+        record_rotation(event, 0, flips, doubled, AccountingConfig())
     assert doubled.total_flips == 2 * single.total_flips
     assert doubled.total_rotations == 2 * single.total_rotations
     assert doubled.flips_per_level == {2: 2 * single.flips_per_level[2]}
@@ -87,18 +90,18 @@ def test_identical_rotations_double_every_field():
 
 def test_ledger_merge_equals_concatenated_stream():
     acct = AccountingConfig()
-    event_a = RotationEvent("RR", 1, (), [], None)
-    event_b = RotationEvent("LL", 3, (0, 1), [], None)
-    writes_a = [WordWrite(("root",), 0, 7)]
-    writes_b = [WordWrite(("root",), 1, 2)]
+    event_a = RotationEvent("RR", 1, 1, [], None)  # at the root
+    event_b = RotationEvent("LL", 3, 5, [], None)  # at path (LEFT, RIGHT)
+    flips_a = bit_flips(0, 7)
+    flips_b = bit_flips(1, 2)
 
     combined = FlipLedger()
-    record_rotation(event_a, [], writes_a, combined, acct)
-    record_rotation(event_b, [], writes_b, combined, acct)
+    record_rotation(event_a, 0, flips_a, combined, acct)
+    record_rotation(event_b, 0, flips_b, combined, acct)
 
     part_a, part_b = FlipLedger(), FlipLedger()
-    record_rotation(event_a, [], writes_a, part_a, acct)
-    record_rotation(event_b, [], writes_b, part_b, acct)
+    record_rotation(event_a, 0, flips_a, part_a, acct)
+    record_rotation(event_b, 0, flips_b, part_b, acct)
     # Per-trial work counts are copied in after the run and summed too.
     part_a.indexed_nodes, part_b.indexed_nodes = 5, 11
     combined.indexed_nodes = 16
@@ -140,12 +143,13 @@ ORACLE_ACCOUNTINGS = (
 def run_with_snapshot_oracle(width, kind, ratio, seed, acct, mode=INCREMENTAL,
                              rotation_counting=DECOMPOSED, num_nodes=None):
     """Run one trial comparing event-driven flips against full-snapshot
-    diffs around every single rotation; returns the rotation count."""
+    diffs around every single rotation, both the writes handed to the
+    rotation hook and the ledger's total; returns the rotation count."""
     n = num_nodes or nodes_for_width(width)
     scheme = SchemeConfig(kind, width, ratio, seed=seed * 31 + 1)
     runner = TrialRunner(scheme, acct, mode, num_nodes=n,
                          rotation_counting=rotation_counting)
-    state = {"count": 0}
+    state = {"count": 0, "diffs": 0}
 
     def before(subtree_root, kind_):
         state["pre"] = full_snapshot(runner, acct)
@@ -157,13 +161,17 @@ def run_with_snapshot_oracle(width, kind, ratio, seed, acct, mode=INCREMENTAL,
             recorded += sum(bit_flips(w.old, w.new) for w in rewrites)
         if acct.count_node_relabels:
             recorded += sum(bit_flips(w.old, w.new) for w in relabel_writes)
-        assert snapshot_flip_diff(state["pre"], post) == recorded
+        diff = snapshot_flip_diff(state["pre"], post)
+        assert diff == recorded
+        state["diffs"] += diff
         state["count"] += 1
 
     runner.before_rotation_hook = before
     runner.after_rotation_hook = after
     for key in gen_dataset(n, seed):
         runner.insert(key)
+    # The ledger is summed apart from the hook's writes: check it too.
+    assert runner.ledger.total_flips == state["diffs"]
     return state["count"]
 
 
@@ -173,3 +181,37 @@ def test_snapshot_oracle_small():
         for acct in ORACLE_ACCOUNTINGS:
             total += run_with_snapshot_oracle(8, kind, ratio, 7, acct)
     assert total > 100
+
+
+@pytest.mark.parametrize("counting", [PER_CASE, DECOMPOSED])
+@pytest.mark.parametrize("mode", [INCREMENTAL, FULL_PASS])
+@pytest.mark.parametrize("acct", ORACLE_ACCOUNTINGS,
+                         ids=["pointer", "both", "relabel"])
+@pytest.mark.parametrize("kind, ratio", ORACLE_SCHEMES,
+                         ids=[kind.value for kind, _ in ORACLE_SCHEMES])
+def test_hooked_and_unhooked_trials_book_the_same_ledger(
+        kind, ratio, acct, mode, counting, monkeypatch):
+    """The ledger does not depend on whether a rotation hook is set, and
+    an unhooked trial builds no ``WordWrite`` at all."""
+    built = []
+
+    def counting_write(*args):
+        built.append(args)
+        return WordWrite(*args)
+
+    monkeypatch.setattr(harness, "WordWrite", counting_write)
+    n = nodes_for_width(8)
+    scheme = SchemeConfig(kind, 8, ratio, seed=5)
+    ledgers = []
+    for hook in (None, lambda event, relabels, rewrites: None):
+        runner = TrialRunner(scheme, acct, mode, num_nodes=n,
+                             rotation_counting=counting)
+        runner.after_rotation_hook = hook
+        runner.run(gen_dataset(n, 11))
+        ledgers.append(runner.ledger)
+        if hook is None:
+            assert built == []
+    unhooked, hooked = ledgers
+    assert unhooked.total_rotations > 0
+    assert unhooked == hooked
+    assert built, "the hooked trial handed over no write"

@@ -19,6 +19,7 @@ from hartsim.addressing import (
     SOURCE_SPARE,
     binary_to_gray,
     dfat_index,
+    position_id,
 )
 from hartsim.avl import AvlTree, RotationEvent
 from hartsim.harness import (
@@ -76,8 +77,8 @@ def test_identity_bound_addresses_hold_deeper_than_the_pointer_width(kind, sourc
         at_insert = {}
         assign = assigner.assign_on_insert
 
-        def spy(node, path):
-            value = assign(node, path)
+        def spy(node, depth, heap_id):
+            value = assign(node, depth, heap_id)
             at_insert[node] = (value, assigner.records[node].source)
             return value
 
@@ -140,11 +141,11 @@ def test_random_sparse_draws_match_the_dense_pool(width, seed, data):
     size = (1 << width) - 1
     draws = data.draw(st.integers(1, size))
     assigner = _random_assigner(width, seed)
-    values = [assigner.assign_on_insert(node, ()) for node in range(draws)]
+    values = [assigner.assign_on_insert(node, 0, 1) for node in range(draws)]
     assert values == _dense_draws(width, seed, draws)
     if draws == size:  # every value drawn: the pool is empty
         with pytest.raises(CapacityError):
-            assigner.assign_on_insert(size, ())
+            assigner.assign_on_insert(size, 0, 1)
 
 
 def test_random_pool_memory_does_not_grow_with_the_width():
@@ -152,7 +153,7 @@ def test_random_pool_memory_does_not_grow_with_the_width():
     try:
         assigner = _random_assigner(20, 1)
         for node in range(1000):
-            assigner.assign_on_insert(node, ())
+            assigner.assign_on_insert(node, 0, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -384,7 +385,7 @@ def test_full_pass_counts_nodes_indexed_below_linear_region(kind, ratio, indexed
 def test_depth_overflow_falls_back_to_spare_and_counts():
     assigner = AddressAssigner(SchemeConfig(SchemeKind.DFAT_GRAY, 4), num_nodes=31)
     deep_path = (0, 1, 0, 1)  # depth 4 does not fit 4 levels
-    value = assigner.assign_on_insert("node", deep_path)
+    value = assigner.assign_on_insert("node", len(deep_path), position_id(deep_path))
     assert assigner.overflow_fallbacks == 1
     assert assigner.records["node"].source == SOURCE_SPARE
     assert value == 0

@@ -8,11 +8,13 @@ from conftest import avl_defect, build_tree
 from hartsim.avl import (
     LEFT,
     RIGHT,
+    ROOT_LEVEL,
     ROOT_SLOT,
     AvlTree,
     DuplicateKeyError,
     Node,
 )
+from hartsim.addressing import position_id
 from hartsim.harness import gen_dataset
 
 
@@ -131,9 +133,18 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
     """Whole-tree snapshots around every single rotation: ``moved`` is
     exactly the rearranged subtree under ``pivot``, with its paths before
     and after, in the preorder ``nodes_with_paths`` gives; ``rewired`` is
-    exactly the set of slots whose non-None child changed."""
+    exactly the set of slots whose non-None child changed.  Positions
+    reported as integers match the paths: ``on_attach`` gets the new
+    leaf's depth and heap id, and ``pivot_path`` follows from
+    ``pivot_level`` and ``pivot_id``."""
     state = {}
-    seen = {"LEFT": 0, "RIGHT": 0, "one slot": 0, "three slots": 0}
+    seen = {"LEFT": 0, "RIGHT": 0, "one slot": 0, "three slots": 0, "attached": 0}
+
+    def attach(node, depth, heap_id):
+        # the leaf is linked and no rotation has run yet
+        path = dict(tree.nodes_with_paths())[node]
+        assert (depth, heap_id) == (len(path), position_id(path))
+        seen["attached"] += 1
 
     def before(sub_root, kind):
         state["paths"] = dict(tree.nodes_with_paths())
@@ -143,6 +154,8 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
         old_paths = state["paths"]
         new_paths = dict(tree.nodes_with_paths())
         prefix = event.pivot_path
+        assert len(prefix) == event.pivot_level - ROOT_LEVEL
+        assert position_id(prefix) == event.pivot_id
         expected = [
             (node, old_paths[node], path)
             for node, path in tree.nodes_with_paths()
@@ -171,8 +184,10 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
     for seed in range(3):
         tree = AvlTree()
         for key in gen_dataset(300, seed):
-            tree.insert(key, before_rotation=before, on_rotation=after)
+            tree.insert(key, on_attach=attach, before_rotation=before,
+                        on_rotation=after)
     assert all(seen.values()), seen
+    assert seen["attached"] == 3 * 300
 
 
 def _moved_keys(event):

@@ -10,7 +10,9 @@ from conftest import avl_defect
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import SchemeConfig, SchemeKind, Threshold
 from hartsim.avl import AvlTree
+from hartsim import cli, harness
 from hartsim.harness import (
+    MAX_NODES,
     DECOMPOSED,
     FULL_PASS,
     INCREMENTAL,
@@ -245,3 +247,35 @@ def test_random_never_beats_dfat_gray_on_flips():
             cell = run_cell(width, spec, trials=20, base_seed=1)
             totals[kind] = cell.mean_flips_per_rotation
         assert totals[SchemeKind.RANDOM] >= totals[SchemeKind.DFAT_GRAY]
+
+
+def test_trees_too_large_to_build_fail_before_any_allocation(monkeypatch, capsys):
+    """Every entry point checks the tree size against ``MAX_NODES``
+    before it builds a key list, so no width or --nodes value can run the
+    machine out of memory; every width up to 16 stays accepted."""
+    def no_dataset(n, seed):
+        raise AssertionError(f"gen_dataset({n}) called for a tree that cannot be built")
+
+    monkeypatch.setattr(harness, "gen_dataset", no_dataset)
+    widest = MAX_NODES.bit_length() + 2
+    assert nodes_for_width(widest) == MAX_NODES
+    assert nodes_for_width(16) == 16383
+    ExperimentConfig(widths=list(range(8, widest + 1)), schemes=[])
+    for width in (widest + 1, 63, 200):
+        with pytest.raises(ValueError, match="does not fit in memory"):
+            ExperimentConfig(widths=[8, width], schemes=[])
+        with pytest.raises(ValueError, match="does not fit in memory"):
+            run_cell(width, SchemeSpec(SchemeKind.LINEAR), trials=1, base_seed=0)
+        with pytest.raises(ValueError, match="does not fit in memory"):
+            rotations_histograms([8, width], trials=1)
+    with pytest.raises(ValueError, match="does not fit in memory"):
+        compare_thresholds(MAX_NODES + 1, trials=1)
+    with pytest.raises(ValueError, match="does not fit in memory"):
+        cli.parse_bits(f"20-{widest + 1}")
+    for argv in (["bench", "--bits", f"8-{widest + 1}"],
+                 ["rotations", "--bits", "64"],
+                 ["compare-thresholds", "--nodes", str(MAX_NODES + 1)],
+                 ["compare-thresholds", "--nodes", "0"],
+                 ["compare-thresholds", "--bits", "40"]):
+        assert cli.main(argv + ["--trials", "1"]) == 1, argv
+        assert "error" in capsys.readouterr().err
