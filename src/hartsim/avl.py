@@ -25,6 +25,7 @@ ROOT_LEVEL = 1
 
 Path = tuple  # tuple of LEFT/RIGHT steps from the root
 ROOT_SLOT = ("root",)  # slot name of the tree's root pointer
+_DIGIT_STEPS = bytes.maketrans(b"01", bytes((LEFT, RIGHT)))  # heap-id digit -> step
 
 
 class DuplicateKeyError(ValueError):
@@ -82,10 +83,8 @@ class RotationEvent:
 
     @property
     def pivot_path(self) -> Path:
-        """The bits of ``pivot_id`` below its leading 1, as steps."""
-        heap_id = self.pivot_id
-        return tuple((heap_id >> shift) & 1
-                     for shift in range(self.pivot_level - ROOT_LEVEL - 1, -1, -1))
+        """The binary digits of ``pivot_id`` after its leading 1, as steps."""
+        return tuple(format(self.pivot_id, "b")[1:].encode().translate(_DIGIT_STEPS))
 
     @property
     def pivot(self) -> Node:
