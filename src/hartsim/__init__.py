@@ -18,7 +18,6 @@ from .addressing import (
     Threshold,
     binary_to_gray,
     dfat_index,
-    level_order_index,
     threshold_from_ratio,
     tree_height_estimate,
 )

@@ -92,17 +92,11 @@ def dfat_index(path: Path, depth_capacity: int) -> int:
     With ``x`` the steps to a second-visited child as bits, that sum is
     depth - popcount(x) + (x << (capacity - depth)).
     """
-    heap_id = level_order_index(path, depth_capacity) + 1
-    return dfat_rank(heap_id, len(path), depth_capacity)
-
-
-def level_order_index(path: Path, depth_capacity: int) -> int:
-    """Breadth-first position index (root = 0) of ``path``."""
     if len(path) >= depth_capacity:
         raise DepthOverflowError(
             f"depth {len(path)} exceeds capacity of {depth_capacity} levels"
         )
-    return position_id(path) - 1
+    return dfat_rank(position_id(path), len(path), depth_capacity)
 
 
 _STEP_DIGITS = bytes.maketrans(bytes((LEFT, RIGHT)), b"01")
@@ -171,6 +165,12 @@ def check_ratio(kind: SchemeKind, ratio) -> Optional[Fraction]:
     return frac
 
 
+#: Widest pointer a scheme takes: one 64-bit machine word.  The largest
+#: tree a trial may build (harness.MAX_NODES) needs 24 bits, and a wider
+#: word only makes every address, rank and null word a longer bignum.
+MAX_POINTER_WIDTH = 64
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     kind: SchemeKind
@@ -179,8 +179,9 @@ class SchemeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pointer_width < 2:
-            raise ValueError("pointer_width must be at least 2 bits")
+        if not 2 <= self.pointer_width <= MAX_POINTER_WIDTH:
+            raise ValueError(f"pointer_width {self.pointer_width} outside "
+                             f"[2, {MAX_POINTER_WIDTH}], two bits to one machine word")
         ratio = check_ratio(self.kind, self.threshold_ratio)
         object.__setattr__(self, "threshold_ratio", ratio)
 

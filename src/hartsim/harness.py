@@ -12,7 +12,9 @@ counts are summed as ints for ``record_rotation``; only an
 Trials are independent and reproducible: all randomness derives from
 (base_seed, width, scheme, trial index), and the key permutation for a
 given (base_seed, width, trial) is shared by every scheme so scheme
-comparisons are paired.
+comparisons are paired.  A grid works out each cell's tree size and
+checks it once, then describes each trial as its (cell, trial) key and
+:func:`run_trial`'s own arguments, which a pool worker runs unchanged.
 """
 
 from __future__ import annotations
@@ -150,12 +152,7 @@ class TrialRunner:
         self.after_rotation_hook = None
 
     def insert(self, key: int) -> None:
-        self.tree.insert(
-            key,
-            on_attach=self._on_attach,
-            before_rotation=self.before_rotation_hook,
-            on_rotation=self._on_rotation,
-        )
+        self.run((key,))
 
     def run(self, keys) -> None:
         """Insert ``keys``: one tree call per key, hooks bound once."""
@@ -222,7 +219,6 @@ class TrialRunner:
 
 
 def run_trial(
-    width: int,
     scheme: SchemeConfig,
     seed: int,
     accounting: Optional[AccountingConfig] = None,
@@ -233,16 +229,15 @@ def run_trial(
     """One complete trial; returns (ledger, addressing wall seconds).
 
     ``seed`` drives the key permutation; the scheme's own randomness
-    (random allocation) comes from ``scheme.seed``.
+    (random allocation) comes from ``scheme.seed``.  The tree holds
+    ``num_nodes`` keys, by default ``nodes_for_width(scheme.pointer_width)``.
     """
     if accounting is None:
         accounting = AccountingConfig()
-    n = nodes_for_width(width) if num_nodes is None else num_nodes
-    runner = TrialRunner(
-        scheme, accounting, reassign_mode, num_nodes=n,
-        rotation_counting=rotation_counting,
-    )
-    runner.run(gen_dataset(n, seed))
+    if num_nodes is None:
+        num_nodes = nodes_for_width(scheme.pointer_width)
+    runner = TrialRunner(scheme, accounting, reassign_mode, num_nodes, rotation_counting)
+    runner.run(gen_dataset(num_nodes, seed))
     return runner.ledger, runner.addressing_seconds
 
 
@@ -320,14 +315,11 @@ def _map_trials(fn, tasks, jobs: int) -> list:
     return sorted(outcomes, key=lambda item: item[0])
 
 
-def _trial_task(args):
-    cell, trial, width, spec, base_seed, accounting, mode, num_nodes, counting = args
-    ratio = spec.threshold_ratio
-    scheme = SchemeConfig(spec.kind, width, ratio,
-                          seed=scheme_seed(base_seed, width, spec.tag, ratio, trial))
-    ledger, wall = run_trial(width, scheme, dataset_seed(base_seed, width, trial),
-                             accounting, mode, num_nodes, counting)
-    return (cell, trial), ledger, wall
+def _trial_task(task):
+    """A grid trial's outcome under its (cell, trial) key; the task is
+    that key followed by :func:`run_trial`'s arguments."""
+    key, *args = task
+    return key, *run_trial(*args)
 
 
 def _run_cells(cells, trials: int, base_seed: int,
@@ -341,12 +333,17 @@ def _run_cells(cells, trials: int, base_seed: int,
         raise ValueError("trials must be >= 1")
     if accounting is None:
         accounting = AccountingConfig()
-    for width, _, num_nodes in cells:  # fail before any trial allocates
+    sizes = [  # fail before any trial allocates
         check_tree_size(nodes_for_width(width) if num_nodes is None else num_nodes)
+        for width, _, num_nodes in cells
+    ]
     tasks = [
-        (cell, trial, width, spec, base_seed, accounting, reassign_mode,
-         num_nodes, rotation_counting)
-        for cell, (width, spec, num_nodes) in enumerate(cells)
+        ((cell, trial),
+         SchemeConfig(spec.kind, width, spec.threshold_ratio,
+                      seed=scheme_seed(base_seed, width, spec.tag, spec.threshold_ratio, trial)),
+         dataset_seed(base_seed, width, trial), accounting, reassign_mode,
+         sizes[cell], rotation_counting)
+        for cell, (width, spec, _) in enumerate(cells)
         for trial in range(trials)
     ]
     ledgers = [FlipLedger() for _ in cells]
@@ -404,12 +401,12 @@ def compare_thresholds(
     )
 
 
-def _histogram_task(args):
-    index, width, trial, base_seed, num_nodes, counting = args
+def _histogram_task(task):
+    key, num_nodes, seed, counting = task
     tree = AvlTree()
     counts: dict = {}
-    for key in gen_dataset(num_nodes, dataset_seed(base_seed, width, trial)):
-        events = tree.insert(key)
+    for new_key in gen_dataset(num_nodes, seed):
+        events = tree.insert(new_key)
         if not events:
             continue
         if counting == PER_CASE:
@@ -419,7 +416,7 @@ def _histogram_task(args):
             levels = tuple(e.pivot_level for e in events)
         for level in levels:
             counts[level] = counts.get(level, 0) + 1
-    return (index, trial), counts
+    return key, counts
 
 
 def rotations_histograms(
@@ -436,7 +433,8 @@ def rotations_histograms(
         raise ValueError("trials must be >= 1")
     check_modes(INCREMENTAL, rotation_counting)
     tasks = [
-        (index, width, trial, base_seed, nodes_for_width(width), rotation_counting)
+        ((index, trial), nodes_for_width(width), dataset_seed(base_seed, width, trial),
+         rotation_counting)
         for index, width in enumerate(widths)
         for trial in range(trials)
     ]

@@ -141,10 +141,11 @@ ORACLE_ACCOUNTINGS = (
 
 
 def run_with_snapshot_oracle(width, kind, ratio, seed, acct, mode=INCREMENTAL,
-                             rotation_counting=DECOMPOSED, num_nodes=None):
+                             rotation_counting=DECOMPOSED, num_nodes=None, keys=None):
     """Run one trial comparing event-driven flips against full-snapshot
     diffs around every single rotation, both the writes handed to the
-    rotation hook and the ledger's total; returns the rotation count."""
+    rotation hook and the ledger's total; returns the rotation count.
+    The trial inserts ``keys``, by default a permutation drawn from ``seed``."""
     n = num_nodes or nodes_for_width(width)
     scheme = SchemeConfig(kind, width, ratio, seed=seed * 31 + 1)
     runner = TrialRunner(scheme, acct, mode, num_nodes=n,
@@ -168,7 +169,7 @@ def run_with_snapshot_oracle(width, kind, ratio, seed, acct, mode=INCREMENTAL,
 
     runner.before_rotation_hook = before
     runner.after_rotation_hook = after
-    for key in gen_dataset(n, seed):
+    for key in gen_dataset(n, seed) if keys is None else keys:
         runner.insert(key)
     # The ledger is summed apart from the hook's writes: check it too.
     assert runner.ledger.total_flips == state["diffs"]

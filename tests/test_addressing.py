@@ -10,6 +10,7 @@ from hartsim.addressing import (
     AddressSpace,
     CapacityError,
     DepthOverflowError,
+    MAX_POINTER_WIDTH,
     SchemeConfig,
     SchemeKind,
     Threshold,
@@ -17,7 +18,6 @@ from hartsim.addressing import (
     dfat_index,
     dfat_rank,
     dfat_ranks,
-    level_order_index,
     level_rank,
     level_ranks,
     position_id,
@@ -147,13 +147,16 @@ def test_dfat_depth_overflow():
         dfat_index((LEFT,), 1)
 
 
-def test_level_order_index():
-    assert level_order_index((), 4) == 0
-    assert level_order_index((LEFT,), 4) == 1
-    assert level_order_index((RIGHT,), 4) == 2
-    assert level_order_index((RIGHT, LEFT), 4) == 5
+def test_level_rank():
+    def rank(path, capacity):
+        return level_rank(position_id(path), len(path), capacity)
+
+    assert rank((), 4) == 0
+    assert rank((LEFT,), 4) == 1
+    assert rank((RIGHT,), 4) == 2
+    assert rank((RIGHT, LEFT), 4) == 5
     with pytest.raises(DepthOverflowError):
-        level_order_index((LEFT, LEFT), 2)
+        dfat_index((LEFT, LEFT), 2)
     # Whole levels, against a breadth-first count and the DFAT traversal.
     for capacity in range(1, 11):
         dfat = brute_force_dfat_ranks(capacity)
@@ -262,6 +265,15 @@ def test_scheme_config_validation():
     with pytest.raises(ValueError, match="does not take a ratio"):
         SchemeConfig(SchemeKind.LINEAR, 8, Fraction(1, 2))
     assert SchemeConfig(SchemeKind.LINEAR, 8).threshold_ratio is None
+    # A pointer is one machine word at most, checked before anything is built.
+    for kind in SchemeKind:
+        ratio = Fraction(1, 2) if kind is SchemeKind.HART else None
+        for width in (2, MAX_POINTER_WIDTH):
+            assert SchemeConfig(kind, width, ratio).pointer_width == width
+        for width in (1, MAX_POINTER_WIDTH + 1, 14400):
+            with pytest.raises(ValueError, match=f"pointer_width {width} outside "
+                                                 rf"\[2, {MAX_POINTER_WIDTH}\]"):
+                SchemeConfig(kind, width, ratio)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from hartsim import harness
 from hartsim.accounting import AccountingConfig
-from hartsim.addressing import SchemeConfig
+from hartsim.addressing import MAX_POINTER_WIDTH, SchemeConfig
 from hartsim.cli import main, parse_bits, parse_ratio, parse_schemes
 from hartsim.report import TIMING_METRICS
 
@@ -366,6 +366,16 @@ def test_assign_dump_rejects_width_zero(capsys):
     assert "--width: must be at least 1" in capsys.readouterr().err
 
 
+def test_assign_dump_rejects_a_width_past_one_machine_word(capsys):
+    assert main(["assign-dump", "--nodes", "7", "--width", str(MAX_POINTER_WIDTH)]) == 0
+    assert f"width={MAX_POINTER_WIDTH} nodes=7" in capsys.readouterr().out
+    for width in (MAX_POINTER_WIDTH + 1, 14400):
+        assert main(["assign-dump", "--nodes", "7", "--width", str(width)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: pointer_width {width} outside [2, {MAX_POINTER_WIDTH}], "
+            "two bits to one machine word\n")
+
+
 def test_rotations_runs_every_width_through_one_pool(tmp_path, monkeypatch):
     argv = ["rotations", "--bits", "8-12", "--trials", "2", "--seed", "3"]
     assert main(argv + ["--output-dir", str(tmp_path / "serial")]) == 0
@@ -405,16 +415,22 @@ def _visited_nodes_untraced(mode, width, seed):
     return sum(visited)
 
 
-@pytest.mark.parametrize("mode", [harness.INCREMENTAL, harness.FULL_PASS])
-def test_traced_command_line_finds_every_name_it_wraps(tmp_path, mode):
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("argv, trials", [
+    (["bench", "--bits", "8", "--trials", "1", "--mode", harness.INCREMENTAL], 5),
+    (["bench", "--bits", "8", "--trials", "1", "--mode", harness.FULL_PASS], 5),
+    (["rotations", "--bits", "8", "--trials", "2"], 2),
+], ids=["bench-incremental", "bench-full-pass", "rotations"])
+def test_traced_command_line_finds_every_name_it_wraps(tmp_path, argv, trials, jobs):
     """The perfbench tracer wraps hartsim functions by name; a run under
-    it fails if one of those names is gone, and the nodes it counts as
-    visited are the ones each mode's sweep walks."""
+    it fails if one of those names is gone, every trial is counted once
+    whether it ran in this process or in a pool worker that dumps per
+    task, and the nodes it counts as visited are the ones each mode's
+    sweep walks."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(tmp_path),
-         "bench", "--bits", "8", "--trials", "1", "--mode", mode,
-         "--output-dir", str(tmp_path)],
+         *argv, "--jobs", str(jobs), "--output-dir", str(tmp_path)],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -423,11 +439,12 @@ def test_traced_command_line_finds_every_name_it_wraps(tmp_path, mode):
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     total = tracing.collect(tracing.read_dir(tmp_path))
-    assert total["counts"]["harness.trials"] == 5
+    assert total["counts"]["harness.trials"] == trials
     assert total["self_s"]["report.write"] > 0
-    visited = _visited_nodes_untraced(mode, 8, 0)
-    assert visited > 0
-    assert total["counts"]["addressing.visited_nodes"] == visited
+    if argv[0] == "bench":
+        visited = _visited_nodes_untraced(argv[-1], 8, 0)
+        assert visited > 0
+        assert total["counts"]["addressing.visited_nodes"] == visited
 
 
 @pytest.mark.parametrize("command", ["compare-thresholds", "assign-dump"])

@@ -6,8 +6,12 @@ for the tree; those push the most nodes through the spare queue and the
 depth-overflow path.  Hypothesis draws such inputs and checks, after
 every insert, the incremental sweep against the full pass and every
 address against ranks from brute-force traversals of the complete tree.
+On the same inputs the flip ledgers are checked against snapshot diffs
+and against each other across counting conventions, re-addressing
+modes, and key-by-key against whole-run insertion.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -17,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import address_map, brute_force_dfat_ranks
+from test_accounting import ORACLE_ACCOUNTINGS, run_with_snapshot_oracle
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import (
     CapacityError,
@@ -27,8 +32,8 @@ from hartsim.addressing import (
     binary_to_gray,
     position_id,
 )
-from hartsim.avl import LEFT, RIGHT
-from hartsim.harness import FULL_PASS, INCREMENTAL, TrialRunner
+from hartsim.avl import LEFT, RIGHT, AvlTree
+from hartsim.harness import DECOMPOSED, FULL_PASS, INCREMENTAL, PER_CASE, TrialRunner
 
 SCHEMES = [(SchemeKind(tag), None) for tag in ("linear", "random", "gray", "dfat-gray")] + [
     (SchemeKind.HART, Fraction(k, 4)) for k in (1, 2, 3)
@@ -67,9 +72,16 @@ def insert_orders(draw, n):
     return [key for run in draw(st.permutations(runs)) for key in run]
 
 
-def runner(kind, ratio, width, n, mode):
-    return TrialRunner(SchemeConfig(kind, width, ratio, seed=5), AccountingConfig(),
-                       reassign_mode=mode, num_nodes=n)
+def runner(kind, ratio, width, n, mode, acct=None, counting=PER_CASE):
+    return TrialRunner(SchemeConfig(kind, width, ratio, seed=5), acct or AccountingConfig(),
+                       reassign_mode=mode, num_nodes=n, rotation_counting=counting)
+
+
+def double_rotations(keys):
+    """LR/RL cases in inserting ``keys``: an insert rebalances at most
+    once, and a double rotation is its only two-event rebalance."""
+    tree = AvlTree()
+    return sum(len(tree.insert(key)) == 2 for key in keys)
 
 
 def check_records(run, width):
@@ -113,3 +125,39 @@ def test_one_node_too_many_raises_capacity_error(width, data):
         with pytest.raises(CapacityError):
             for key in keys:
                 run.insert(key)
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(n=st.integers(1, 200), extra=st.integers(0, 4), data=st.data())
+def test_flip_ledgers_agree_on_adversarial_inputs(n, extra, data):
+    """Event flips equal snapshot diffs under every accounting; per-case
+    and decomposed counting book the same flips, the decomposed count
+    one rotation more per double; incremental and full-pass ledgers
+    differ only in ``indexed_nodes``; and inserting key by key books
+    exactly the ledger that one whole run does."""
+    keys = data.draw(insert_orders(n))
+    width = smallest_width(n) + extra
+    doubles = double_rotations(keys)
+    for kind, ratio in SCHEMES:
+        for acct in ORACLE_ACCOUNTINGS:
+            run_with_snapshot_oracle(width, kind, ratio, 5, acct, num_nodes=n, keys=keys)
+        ledgers = {}
+        for (a, acct), mode, counting in product(enumerate(ORACLE_ACCOUNTINGS),
+                                                 (INCREMENTAL, FULL_PASS),
+                                                 (PER_CASE, DECOMPOSED)):
+            whole = runner(kind, ratio, width, n, mode, acct, counting)
+            whole.run(keys)
+            by_key = runner(kind, ratio, width, n, mode, acct, counting)
+            for key in keys:
+                by_key.insert(key)
+            assert by_key.ledger == whole.ledger, (kind, ratio, acct, mode, counting)
+            ledgers[a, mode, counting] = whole.ledger
+        for a, acct in enumerate(ORACLE_ACCOUNTINGS):
+            for mode in (INCREMENTAL, FULL_PASS):
+                per_case, decomposed = ledgers[a, mode, PER_CASE], ledgers[a, mode, DECOMPOSED]
+                assert per_case.total_flips == decomposed.total_flips, (kind, ratio, acct, mode)
+                assert decomposed.total_rotations - per_case.total_rotations == doubles
+            for counting in (PER_CASE, DECOMPOSED):
+                inc, full = ledgers[a, INCREMENTAL, counting], ledgers[a, FULL_PASS, counting]
+                assert replace(full, indexed_nodes=inc.indexed_nodes) == inc, (
+                    kind, ratio, acct, counting)

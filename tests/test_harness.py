@@ -87,8 +87,8 @@ def test_nodes_for_width_pairing():
 
 def test_run_trial_is_deterministic():
     scheme = SchemeConfig(SchemeKind.DFAT_GRAY, 8, seed=99)
-    first, _ = run_trial(8, scheme, seed=4)
-    second, _ = run_trial(8, scheme, seed=4)
+    first, _ = run_trial(scheme, seed=4)
+    second, _ = run_trial(scheme, seed=4)
     assert first == second
     assert first.total_rotations > 0
     assert len(first.rotations_per_level) > 1
@@ -101,7 +101,7 @@ def test_rotation_structure_is_scheme_independent():
     ledgers = {}
     for kind in (SchemeKind.LINEAR, SchemeKind.RANDOM, SchemeKind.DFAT_GRAY):
         scheme = SchemeConfig(kind, 8, seed=1)
-        ledgers[kind], _ = run_trial(8, scheme, seed)
+        ledgers[kind], _ = run_trial(scheme, seed)
     base = ledgers[SchemeKind.LINEAR]
     for other in ledgers.values():
         assert other.rotations_per_level == base.rotations_per_level
@@ -109,7 +109,7 @@ def test_rotation_structure_is_scheme_independent():
 
 def test_trial_rotations_bounded():
     scheme = SchemeConfig(SchemeKind.LINEAR, 8)
-    ledger, _ = run_trial(8, scheme, seed=0, rotation_counting=DECOMPOSED)
+    ledger, _ = run_trial(scheme, seed=0, rotation_counting=DECOMPOSED)
     assert ledger.total_rotations < 2 * 63
     assert sum(ledger.rotations_per_level.values()) == ledger.total_rotations
 
@@ -117,7 +117,7 @@ def test_trial_rotations_bounded():
 def test_histogram_matches_trial_ledger():
     hist = rotations_histogram(8, 1, base_seed=3)
     scheme = SchemeConfig(SchemeKind.LINEAR, 8)
-    ledger, _ = run_trial(8, scheme, dataset_seed(3, 8, 0))
+    ledger, _ = run_trial(scheme, dataset_seed(3, 8, 0))
     assert sum(hist.values()) == ledger.total_rotations
     assert {level: float(count) for level, count in ledger.rotations_per_level.items()} == hist
 
@@ -140,8 +140,8 @@ def test_histograms_of_several_widths_merge_by_position():
 def test_per_case_and_decomposed_agree_on_flips():
     scheme = SchemeConfig(SchemeKind.DFAT_GRAY, 8)
     seed = dataset_seed(0, 8, 1)
-    per_case, _ = run_trial(8, scheme, seed, rotation_counting=PER_CASE)
-    decomposed, _ = run_trial(8, scheme, seed, rotation_counting=DECOMPOSED)
+    per_case, _ = run_trial(scheme, seed, rotation_counting=PER_CASE)
+    decomposed, _ = run_trial(scheme, seed, rotation_counting=DECOMPOSED)
     assert per_case.total_flips == decomposed.total_flips
     assert per_case.total_rotations < decomposed.total_rotations
 
@@ -230,8 +230,8 @@ def test_balanced_insertion_order_builds_without_rotations():
 def test_full_pass_mode_trial_matches_incremental():
     scheme = SchemeConfig(SchemeKind.HART, 8, Fraction(1, 2))
     seed = dataset_seed(5, 8, 0)
-    inc, _ = run_trial(8, scheme, seed, reassign_mode=INCREMENTAL)
-    full, _ = run_trial(8, scheme, seed, reassign_mode=FULL_PASS)
+    inc, _ = run_trial(scheme, seed, reassign_mode=INCREMENTAL)
+    full, _ = run_trial(scheme, seed, reassign_mode=FULL_PASS)
     # Identical results at a different cost: the sweep re-indexes the
     # whole tree on every rotation, the incremental path the moved nodes.
     assert inc.indexed_nodes < full.indexed_nodes
