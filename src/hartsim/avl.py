@@ -5,7 +5,8 @@ reported as a :class:`RotationEvent` carrying the set of nodes whose
 root path changed and the pointer slots it rewired.  A double rotation
 (LR / RL) is decomposed into two single rotations and therefore emits
 two events; this is the counting convention used by every statistic
-downstream.
+downstream.  Nodes cache ``balance`` = height(right) - height(left), so
+an insert makes one descent and no climb (Knuth's single-pass insertion).
 
 Levels are 1-based: the root sits at level ``ROOT_LEVEL`` and a node at
 depth ``d`` sits at level ``d + ROOT_LEVEL``.  Positions are integers on
@@ -33,15 +34,15 @@ class DuplicateKeyError(ValueError):
 
 
 class Node:
-    """One tree node; ``height`` is cached (leaf = 1)."""
+    """One tree node; ``balance`` is height(right) - height(left), cached."""
 
-    __slots__ = ("key", "left", "right", "height")
+    __slots__ = ("key", "left", "right", "balance")
 
     def __init__(self, key: int):
         self.key = key
         self.left: Optional[Node] = None
         self.right: Optional[Node] = None
-        self.height = 1
+        self.balance = 0
 
 
 class RotationEvent:
@@ -167,66 +168,61 @@ class AvlTree:
                 on_attach(leaf, 0, 1)
             return []
 
-        lineage = []  # nodes along the descent
-        heap_id = 1
-        node = self.root
+        # One descent.  ``crit`` is the deepest node on the path whose
+        # balance is nonzero, else the root: no node above it changes
+        # height, and every node below it is balanced before the insert.
+        crit = node = self.root
+        crit_parent = parent = None
+        crit_id = heap_id = 1
         while True:
-            if key == node.key:
-                raise DuplicateKeyError(f"duplicate key {key!r}")
-            lineage.append(node)
+            if node.balance:
+                crit, crit_parent, crit_id = node, parent, heap_id
             if key < node.key:
                 heap_id = 2 * heap_id
                 nxt = node.left
                 if nxt is None:
                     node.left = leaf = Node(key)
                     break
+            elif key == node.key:
+                raise DuplicateKeyError(f"duplicate key {key!r}")
             else:
                 heap_id = 2 * heap_id + 1
                 nxt = node.right
                 if nxt is None:
                     node.right = leaf = Node(key)
                     break
-            node = nxt
+            parent, node = node, nxt
         self.size += 1
-        depth = len(lineage)
         if on_attach is not None:
-            on_attach(leaf, depth, heap_id)
+            on_attach(leaf, heap_id.bit_length() - 1, heap_id)
 
-        # Climb back up refreshing cached heights.  The first ancestor
-        # whose balance reaches +-2 is rebalanced; an insert needs at
-        # most one rebalancing, after which subtree heights are back to
-        # their pre-insert values and the climb can stop.
+        # The nodes strictly between crit and the leaf now lean toward the
+        # key; crit moves one step toward it, and is rebalanced at +-2.
+        # An insert rebalances at most once, restoring crit's height.
+        if key < crit.key:
+            balance, node = crit.balance - 1, crit.left
+        else:
+            balance, node = crit.balance + 1, crit.right
+        while node is not leaf:
+            if key < node.key:
+                node.balance, node = -1, node.left
+            else:
+                node.balance, node = 1, node.right
+        crit.balance = balance
         events: list = []
-        for i in range(depth - 1, -1, -1):
-            parent = lineage[i]
-            left, right = parent.left, parent.right
-            lh = left.height if left is not None else 0
-            rh = right.height if right is not None else 0
-            balance = rh - lh
-            if balance > 1 or balance < -1:
-                if i:
-                    attach_parent = lineage[i - 1]
-                    attach_side = LEFT if key < attach_parent.key else RIGHT
-                else:
-                    attach_parent, attach_side = None, None
-                self._rebalance(
-                    parent, balance, i + ROOT_LEVEL, heap_id >> (depth - i),
-                    attach_parent, attach_side, events, before_rotation, on_rotation,
-                )
-                break
-            new_height = (lh if lh > rh else rh) + 1
-            if parent.height == new_height:
-                break
-            parent.height = new_height
+        if balance > 1 or balance < -1:
+            # crit_id's last binary digit is the side crit hangs from.
+            self._rebalance(
+                crit, balance, crit_id.bit_length() - 1 + ROOT_LEVEL, crit_id,
+                crit_parent, crit_id & 1, events, before_rotation, on_rotation,
+            )
         return events
 
     def _rebalance(self, z, balance, level, z_id, attach_parent, attach_side,
                    events, before_rotation, on_rotation):
         heavy = RIGHT if balance > 0 else LEFT
         y = z.right if heavy == RIGHT else z.left
-        ylh = y.left.height if y.left is not None else 0
-        yrh = y.right.height if y.right is not None else 0
-        if ylh > yrh if heavy == RIGHT else yrh > ylh:
+        if y.balance < 0 if heavy == RIGHT else y.balance > 0:
             # RL (LR): rotate the child toward the heavy side, then z away.
             kind = "RL" if heavy == RIGHT else "LR"
             self._rotate(y, heavy, level + 1, 2 * z_id + heavy, z, heavy,
@@ -246,22 +242,23 @@ class AvlTree:
         if before_rotation is not None:
             before_rotation(sub_root, kind)
 
+        # Balances follow the single-rotation rules: a is the sub-root's
+        # and b the pivot's, each updated from the values before.
         if direction == LEFT:
             hoist, pivot = RIGHT, sub_root.right
             outer, inner, far = sub_root.left, pivot.left, pivot.right
             sub_root.right, pivot.left = inner, sub_root
+            b = pivot.balance
+            a = sub_root.balance - 1 - (b if b > 0 else 0)
+            b += (a if a < 0 else 0) - 1
         else:
             hoist, pivot = LEFT, sub_root.left
             outer, inner, far = sub_root.right, pivot.right, pivot.left
             sub_root.left, pivot.right = inner, sub_root
-
-        # sub_root now holds outer and inner, and the pivot sub_root and far.
-        oh = outer.height if outer is not None else 0
-        ih = inner.height if inner is not None else 0
-        height = (oh if oh > ih else ih) + 1
-        sub_root.height = height
-        fh = far.height if far is not None else 0
-        pivot.height = (height if height > fh else fh) + 1
+            b = pivot.balance
+            a = sub_root.balance + 1 - (b if b < 0 else 0)
+            b += (a if a > 0 else 0) + 1
+        sub_root.balance, pivot.balance = a, b
 
         if attach_parent is None:
             self.root = pivot

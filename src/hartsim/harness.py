@@ -10,16 +10,17 @@ counts are summed as ints for ``record_rotation``; only an
 ``after_rotation_hook`` gets ``WordWrite`` lists.
 
 Trials are independent and reproducible: all randomness derives from
-(base_seed, width, scheme, trial index), and the key permutation for a
-given (base_seed, width, trial) is shared by every scheme so scheme
-comparisons are paired.  A grid works out each cell's tree size and
-checks it once, then describes each trial as its (cell, trial) key and
-:func:`run_trial`'s own arguments, which a pool worker runs unchanged.
+(base_seed, width, scheme, trial index) by SHA-256, from CPython's own
+module where there is one since ``hashlib`` loads OpenSSL, and the key
+permutation for a given (base_seed, width, trial) is shared by every
+scheme so scheme comparisons are paired.  A grid works out each cell's
+tree size and checks it once, then describes each trial as its (cell,
+trial) key and :func:`run_trial`'s own arguments, which a pool worker
+runs unchanged.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -36,6 +37,14 @@ from .accounting import (
 from .addressing import (AddressAssigner, SchemeConfig, SchemeKind, check_ratio,
                          tree_height_estimate)
 from .avl import AvlTree
+
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11 and earlier
+    except ImportError:
+        from hashlib import sha256
 
 INCREMENTAL = "incremental"
 FULL_PASS = "full-pass"
@@ -85,7 +94,7 @@ def check_modes(reassign_mode: str, rotation_counting: str) -> None:
 
 
 def _derive(*parts) -> int:
-    digest = hashlib.sha256("|".join(map(str, parts)).encode()).hexdigest()
+    digest = sha256("|".join(map(str, parts)).encode()).hexdigest()
     return int(digest[:16], 16)
 
 
@@ -236,6 +245,7 @@ def run_trial(
         accounting = AccountingConfig()
     if num_nodes is None:
         num_nodes = nodes_for_width(scheme.pointer_width)
+    check_tree_size(num_nodes)  # fail before the keys are generated
     runner = TrialRunner(scheme, accounting, reassign_mode, num_nodes, rotation_counting)
     runner.run(gen_dataset(num_nodes, seed))
     return runner.ledger, runner.addressing_seconds

@@ -3,11 +3,12 @@
 The oracles here deliberately avoid the library's own shortcuts: DFAT
 ranks come from an explicit traversal of the complete tree, flip totals
 come from full before/after snapshots of every stored word,
-``avl_defect`` checks a tree's key order, cached heights and balance in
-one in-order walk, and ``gray_to_binary`` inverts a Gray code by prefix
-XOR.
+``avl_defect`` checks a tree's key order and cached balance factors
+against heights it recomputes in one walk, and ``gray_to_binary``
+inverts a Gray code by prefix XOR.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -79,34 +80,52 @@ def snapshot_flip_diff(before, after):
     return total
 
 
+class _Defect(Exception):
+    """The first defect ``avl_defect``'s walk meets: (node, reason)."""
+
+
 def avl_defect(tree):
-    """First defect in in-order, as (path, reason), or None if the keys
-    rise strictly (the BST order) and every node's cached height and
-    balance are right.  The path is looked up only on failure."""
-    stack, node, prev = [], tree.root, None
-    push, pop = stack.append, stack.pop
-    while stack or node is not None:
-        while node is not None:
-            push(node)
-            node = node.left
-        node = pop()
-        left, right = node.left, node.right
-        lh = left.height if left is not None else 0
-        rh = right.height if right is not None else 0
-        if prev is not None and prev.key >= node.key:
-            # Of two neighbours out of order, the descendant breaks its
-            # ancestor's bound: ``node`` if it is in prev's right subtree.
-            bad = node if prev.right is not None else prev
-            reason = f"key {bad.key} out of order"
-        elif node.height != (lh if lh > rh else rh) + 1:
-            bad, reason = node, f"cached height {node.height} != {max(lh, rh) + 1}"
-        elif rh - lh > 1 or lh - rh > 1:
-            bad, reason = node, f"balance {rh - lh}"
-        else:
-            prev, node = node, right
-            continue
+    """First defect as (path, reason), or None if the keys rise strictly
+    in order (the BST order) and every node's cached ``balance`` equals
+    height(right) - height(left), with |balance| <= 1.  One recursive
+    walk, as deep as the tree, checks each key against the bounds its
+    ancestors set on the way down and recomputes subtree heights on the
+    way up.  The path is looked up only on failure."""
+    def height(node, low, high):
+        key, left, right = node.key, node.left, node.right
+        if not low < key < high:
+            raise _Defect(node, f"key {key} out of order")
+        if left is None and right is None:  # a leaf, as half the nodes are
+            if node.balance:
+                raise _Defect(node, f"cached balance {node.balance} != 0")
+            return 1
+        lh = height(left, low, key) if left is not None else 0
+        rh = height(right, key, high) if right is not None else 0
+        balance = rh - lh
+        if node.balance != balance:
+            raise _Defect(node, f"cached balance {node.balance} != {balance}")
+        if balance > 1 or balance < -1:
+            raise _Defect(node, f"out of balance: {balance}")
+        return (rh if balance > 0 else lh) + 1
+
+    try:
+        if tree.root is not None:
+            height(tree.root, -math.inf, math.inf)
+    except _Defect as defect:
+        bad, reason = defect.args
         return next(p for n, p in tree.nodes_with_paths() if n is bad), reason
     return None
+
+
+def tree_height(tree):
+    """Height of the tree (a leaf is 1), read down the taller side at
+    each node as the cached balances say; exact on a tree that
+    ``avl_defect`` passes."""
+    height, node = 0, tree.root
+    while node is not None:
+        height += 1
+        node = node.right if node.balance > 0 else node.left
+    return height
 
 
 def gray_to_binary(gray):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import address_map, avl_defect, gray_to_binary
+from conftest import address_map, avl_defect, gray_to_binary, tree_height
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import (
     SchemeConfig,
@@ -109,8 +109,8 @@ def _avl_integrity_trial(seed):
         if violation is not None:
             path, reason = violation
             return f"seed {seed}: {reason} at {path}"
-        if tree.root.height > bound:
-            return f"seed {seed}: height {tree.root.height} exceeds bound"
+        if tree_height(tree) > bound:
+            return f"seed {seed}: height {tree_height(tree)} exceeds bound"
     # Strictly rising in-order keys (checked above) that are 0..n-1
     # make the in-order traversal range(n).
     if sorted(node.key for node, _ in tree.nodes_with_paths()) != list(range(n)):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import avl_defect, build_tree
+from conftest import avl_defect, build_tree, tree_height
 from hartsim.avl import (
     LEFT,
     RIGHT,
@@ -63,13 +63,8 @@ def test_validate_empty_tree_ok():
 
 def test_validate_reports_corrupted_height():
     tree, _ = build_tree([4, 2, 6, 1, 3, 5, 7])
-    tree.root.left.left.height = 5
-    violation = avl_defect(tree)
-    assert violation is not None
-    path, reason = violation
-    # the mismatch surfaces at the forged leaf or its parent
-    assert path in ((LEFT, LEFT), (LEFT,))
-    assert "height" in reason or "balance" in reason
+    tree.root.left.left.balance = 1  # a leaf's subtrees are both empty
+    assert avl_defect(tree) == ((LEFT, LEFT), "cached balance 1 != 0")
 
 
 def test_validate_reports_bst_violation():
@@ -82,17 +77,14 @@ def test_validate_reports_bst_violation():
 
 
 def test_validate_reports_imbalance():
-    # Hand-built left chain: 3 -> 2 -> 1 with forged heights.
+    # Hand-built left chain: 3 -> 2 -> 1 with balances true to its shape.
     a, b, c = Node(3), Node(2), Node(1)
     a.left, b.left = b, c
-    a.height, b.height = 3, 2
+    a.balance, b.balance = -2, -1
     tree = AvlTree()
     tree.root = a
     tree.size = 3
-    violation = avl_defect(tree)
-    assert violation is not None
-    _, reason = violation
-    assert "balance" in reason
+    assert avl_defect(tree) == ((), "out of balance: -2")
 
 
 def test_moved_nodes_stay_under_pivot_slot():
@@ -257,7 +249,7 @@ def test_random_builds_keep_all_invariants(keys):
         assert len(events) <= 2
     assert avl_defect(tree) is None  # so in-order is sorted order
     assert sorted(node.key for node, _ in tree.nodes_with_paths()) == sorted(keys)
-    assert tree.root.height <= 1.4405 * math.log2(len(keys) + 2)
+    assert tree_height(tree) <= 1.4405 * math.log2(len(keys) + 2)
     assert len(tree) == len(keys)
 
 
@@ -268,7 +260,7 @@ def test_height_bound_on_larger_seeded_builds():
         for key in gen_dataset(n, seed):
             tree.insert(key)
         assert avl_defect(tree) is None
-        assert tree.root.height <= 1.4405 * math.log2(n + 2)
+        assert tree_height(tree) <= 1.4405 * math.log2(n + 2)
 
 
 def test_len_counts_the_inserted_keys():

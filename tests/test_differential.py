@@ -8,7 +8,8 @@ every insert, the incremental sweep against the full pass and every
 address against ranks from brute-force traversals of the complete tree.
 On the same inputs the flip ledgers are checked against snapshot diffs
 and against each other across counting conventions, re-addressing
-modes, and key-by-key against whole-run insertion.
+modes, and key-by-key against whole-run insertion, and the tree's
+one-descent insert is checked against a height-caching reference.
 """
 
 from dataclasses import replace
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import address_map, brute_force_dfat_ranks
+from conftest import address_map, avl_defect, brute_force_dfat_ranks
 from test_accounting import ORACLE_ACCOUNTINGS, run_with_snapshot_oracle
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import (
@@ -32,7 +33,7 @@ from hartsim.addressing import (
     binary_to_gray,
     position_id,
 )
-from hartsim.avl import LEFT, RIGHT, AvlTree
+from hartsim.avl import LEFT, RIGHT, ROOT_LEVEL, ROOT_SLOT, AvlTree
 from hartsim.harness import DECOMPOSED, FULL_PASS, INCREMENTAL, PER_CASE, TrialRunner
 
 SCHEMES = [(SchemeKind(tag), None) for tag in ("linear", "random", "gray", "dfat-gray")] + [
@@ -161,3 +162,138 @@ def test_flip_ledgers_agree_on_adversarial_inputs(n, extra, data):
                 inc, full = ledgers[a, INCREMENTAL, counting], ledgers[a, FULL_PASS, counting]
                 assert replace(full, indexed_nodes=inc.indexed_nodes) == inc, (
                     kind, ratio, acct, counting)
+
+
+class _RefNode:
+    __slots__ = ("key", "left", "right", "height")
+
+    def __init__(self, key):
+        self.key, self.left, self.right, self.height = key, None, None, 1
+
+
+def _height(node):
+    return node.height if node is not None else 0
+
+
+class ReferenceTree:
+    """The AVL insert that caches heights: a descent that keeps the path,
+    then a climb that refreshes each height and rebalances the first node
+    at +-2.  It books each attach as (key, depth, heap id) and each single
+    rotation as (kind, pivot level, pivot id, pivot key, rewired slots),
+    with nodes given by their keys."""
+
+    def __init__(self):
+        self.root = None
+        self.attached, self.events = [], []
+
+    def insert(self, key):
+        path, node, heap_id = [], self.root, 1
+        while node is not None:
+            path.append((node, heap_id))
+            step = RIGHT if key > node.key else LEFT
+            heap_id = 2 * heap_id + step
+            node = node.right if step == RIGHT else node.left
+        leaf = _RefNode(key)
+        if not path:
+            self.root = leaf
+        elif key > path[-1][0].key:
+            path[-1][0].right = leaf
+        else:
+            path[-1][0].left = leaf
+        self.attached.append((key, len(path), heap_id))
+        for depth in range(len(path) - 1, -1, -1):
+            z, z_id = path[depth]
+            balance = _height(z.right) - _height(z.left)
+            if abs(balance) > 1:
+                parent = path[depth - 1][0] if depth else None
+                self._rebalance(z, balance, depth + ROOT_LEVEL, z_id, parent)
+                return
+            z.height = 1 + max(_height(z.left), _height(z.right))
+
+    def _rebalance(self, z, balance, level, z_id, parent):
+        heavy = RIGHT if balance > 0 else LEFT
+        y = z.right if heavy == RIGHT else z.left
+        outer, inner = (y.right, y.left) if heavy == RIGHT else (y.left, y.right)
+        if _height(inner) > _height(outer):
+            kind = "RL" if heavy == RIGHT else "LR"
+            self._rotate(y, heavy, level + 1, 2 * z_id + heavy, z, kind)
+        else:
+            kind = "RR" if heavy == RIGHT else "LL"
+        self._rotate(z, 1 - heavy, level, z_id, parent, kind)
+
+    def _rotate(self, sub_root, direction, level, pivot_id, parent, kind):
+        if direction == LEFT:
+            pivot = sub_root.right
+            inner = sub_root.right = pivot.left
+            pivot.left = sub_root
+        else:
+            pivot = sub_root.left
+            inner = sub_root.left = pivot.right
+            pivot.right = sub_root
+        for node in (sub_root, pivot):
+            node.height = 1 + max(_height(node.left), _height(node.right))
+        if parent is None:
+            self.root, slot = pivot, ROOT_SLOT
+        elif parent.left is sub_root:
+            parent.left, slot = pivot, (parent.key, LEFT)
+        else:
+            parent.right, slot = pivot, (parent.key, RIGHT)
+        rewired = [(slot, sub_root.key, pivot.key)]
+        if inner is not None:
+            rewired += [((sub_root.key, 1 - direction), pivot.key, inner.key),
+                        ((pivot.key, direction), inner.key, sub_root.key)]
+        self.events.append((kind, level, pivot_id, pivot.key, rewired))
+
+    def preorder(self):
+        """(key, path) pairs in preorder, as ``nodes_with_paths`` lists them."""
+        out, stack = [], [(self.root, ())] if self.root is not None else []
+        while stack:
+            node, path = stack.pop()
+            out.append((node.key, path))
+            for step, child in ((RIGHT, node.right), (LEFT, node.left)):
+                if child is not None:
+                    stack.append((child, path + (step,)))
+        return out
+
+
+def _slot_keys(slot):
+    return slot if slot == ROOT_SLOT else (slot[0].key, slot[1])
+
+
+def check_insert_matches_reference(keys):
+    """The tree's events, attaches and final shape equal the reference's,
+    and its cached balances hold."""
+    tree, reference = AvlTree(), ReferenceTree()
+    attached, events = [], []
+
+    def attach(node, depth, heap_id):
+        attached.append((node.key, depth, heap_id))
+
+    for key in keys:
+        events += [
+            (e.kind, e.pivot_level, e.pivot_id, e.pivot.key,
+             [(_slot_keys(slot), old.key, new.key) for slot, old, new in e.rewired])
+            for e in tree.insert(key, on_attach=attach)
+        ]
+        reference.insert(key)
+    assert events == reference.events
+    assert attached == reference.attached
+    assert [(node.key, path) for node, path in tree.nodes_with_paths()] == reference.preorder()
+    assert avl_defect(tree) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 1000])
+@pytest.mark.parametrize("shape", ["sorted", "reversed", "zig-zag"])
+def test_insert_matches_height_caching_reference_on_fixed_orders(shape, n):
+    keys = list(range(n))
+    if shape == "reversed":
+        keys.reverse()
+    elif shape == "zig-zag":
+        keys = [k for pair in zip(keys, reversed(keys)) for k in pair][:n]
+    check_insert_matches_reference(keys)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(n=st.integers(1, 300), data=st.data())
+def test_insert_matches_height_caching_reference_on_adversarial_inputs(n, data):
+    check_insert_matches_reference(data.draw(insert_orders(n)))

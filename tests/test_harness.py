@@ -1,6 +1,12 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from importlib.util import find_spec
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +20,7 @@ from hartsim import cli, harness
 from hartsim.harness import (
     MAX_NODES,
     DECOMPOSED,
+    DEFAULT_RATIOS,
     FULL_PASS,
     INCREMENTAL,
     PER_CASE,
@@ -78,6 +85,37 @@ def test_seed_derivation_is_pure_and_distinct():
     assert scheme_seed(0, 8, "hart", Fraction(1, 2), 3) != scheme_seed(
         0, 8, "hart", Fraction(1, 4), 3
     )
+
+
+def test_seeds_are_sha256_of_their_parts():
+    """The seeds hash with whichever SHA-256 the harness found; each one
+    is the first 64 bits of hashlib's digest of its '|'-joined parts."""
+    def reference(*parts):
+        return int(hashlib.sha256("|".join(map(str, parts)).encode()).hexdigest()[:16], 16)
+
+    schemes = {(spec.tag, spec.threshold_ratio)
+               for ratio in DEFAULT_RATIOS for spec in cli.parse_schemes("all", ratio)}
+    assert len(schemes) == 7
+    for base_seed in (0, 7, -1, 2**40):
+        for width in range(8, 25):
+            for trial in range(100):
+                assert dataset_seed(base_seed, width, trial) == reference(
+                    "dataset", base_seed, width, trial)
+                for tag, ratio in schemes:
+                    assert scheme_seed(base_seed, width, tag, ratio, trial) == reference(
+                        "scheme", base_seed, width, tag, ratio, trial)
+
+
+def test_cli_import_loads_no_openssl():
+    """Seeds need no OpenSSL: a fresh interpreter that imports the CLI
+    leaves ``_hashlib`` unloaded wherever CPython's own SHA-256 exists."""
+    if find_spec("_sha2") is None and find_spec("_sha256") is None:
+        pytest.skip("this interpreter has no _sha2 or _sha256 module")
+    code = "import sys, hartsim.cli; print('_hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])})
+    assert out.stdout.strip() == "False"
 
 
 def test_nodes_for_width_pairing():
@@ -270,6 +308,9 @@ def test_trees_too_large_to_build_fail_before_any_allocation(monkeypatch, capsys
             rotations_histograms([8, width], trials=1)
     with pytest.raises(ValueError, match="does not fit in memory"):
         compare_thresholds(MAX_NODES + 1, trials=1)
+    for num_nodes in (MAX_NODES + 1, 10**9, 0):
+        with pytest.raises(ValueError, match="does not fit in memory"):
+            run_trial(SchemeConfig(SchemeKind.LINEAR, 8), 1, num_nodes=num_nodes)
     with pytest.raises(ValueError, match="does not fit in memory"):
         cli.parse_bits(f"20-{widest + 1}")
     for argv in (["bench", "--bits", f"8-{widest + 1}"],
