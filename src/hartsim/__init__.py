@@ -12,12 +12,10 @@ from .addressing import (
     AddressAssigner,
     AddressSpace,
     CapacityError,
-    DepthOverflowError,
     SchemeConfig,
     SchemeKind,
     Threshold,
     binary_to_gray,
-    dfat_index,
     threshold_from_ratio,
     tree_height_estimate,
 )

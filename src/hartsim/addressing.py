@@ -11,11 +11,13 @@ Five schemes are provided:
 * ``hart``      -- hybrid: linear addressing for levels up to a
   threshold T, DFAT-Gray below it.
 
-Positional schemes (gray, dfat-gray, hart below T) re-address nodes
-whose position changed after a rotation, walking the rotated subtree
-(incremental) or sweeping the whole tree a level at a time (full pass);
-identity-bound schemes never do.  Conflicts and depth overflows fall
-back to the spare queue, which hands out the lowest free address value.
+Positional schemes (gray, dfat-gray, hart below T) rank a position (its
+depth and 1-based heap id) by one closed form, :func:`dfat_rank` or for
+gray :func:`level_rank`, each with a whole-level twin.  After a rotation
+they re-address the nodes whose position changed, walking the rotated
+subtree (incremental) or sweeping the whole tree a level at a time
+(full pass).  Conflicts and depth overflows fall back to the spare
+queue, which hands out the lowest free address value.
 """
 
 from __future__ import annotations
@@ -29,15 +31,11 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Optional
 
-from .avl import LEFT, RIGHT, ROOT_LEVEL, AvlTree, Path
+from .avl import ROOT_LEVEL, AvlTree
 
 
 class CapacityError(RuntimeError):
     """No free address value is left in the space."""
-
-
-class DepthOverflowError(ValueError):
-    """A node's depth does not fit the positional index capacity."""
 
 
 # ----------------------------------------------------------------------
@@ -54,8 +52,18 @@ def binary_to_gray(value: int, width: int) -> int:
 # positional indexing
 # ----------------------------------------------------------------------
 def dfat_rank(heap_id: int, depth: int, depth_capacity: int) -> int:
-    """DFAT rank of the position with 1-based heap id ``heap_id`` at
-    ``depth``; see :func:`dfat_index`."""
+    """Preorder rank of the position with 1-based heap id ``heap_id`` at
+    ``depth`` under alternating child order.
+
+    The complete binary tree of ``depth_capacity`` levels is traversed
+    depth-first visiting the Left child first at even depths and the
+    Right child first at odd depths.  Stepping to the first-visited
+    child adds 1 to the rank; stepping to the second skips the whole
+    first-child subtree and adds 2**(levels remaining below the parent).
+    With ``x`` the steps to a second-visited child as bits, that sum is
+    depth - popcount(x) + (x << (capacity - depth)).  ``depth`` must be
+    below ``depth_capacity``.
+    """
     # XOR with 0b...0101 strips the leading 1 and flips the odd depths,
     # whose first-visited child is Right.
     x = heap_id ^ (((4 << depth) - 1) // 3)
@@ -79,33 +87,6 @@ def level_rank(heap_id: int, depth: int, depth_capacity: int) -> int:
 def level_ranks(heap_ids, depth: int, depth_capacity: int) -> list:
     """:func:`level_rank` of every id in ``heap_ids``."""
     return [heap_id - 1 for heap_id in heap_ids]
-
-
-def dfat_index(path: Path, depth_capacity: int) -> int:
-    """Preorder rank of ``path`` under alternating child order.
-
-    The complete binary tree of ``depth_capacity`` levels is traversed
-    depth-first visiting the Left child first at even depths and the
-    Right child first at odd depths.  Stepping to the first-visited
-    child adds 1 to the rank; stepping to the second skips the whole
-    first-child subtree and adds 2**(levels remaining below the parent).
-    With ``x`` the steps to a second-visited child as bits, that sum is
-    depth - popcount(x) + (x << (capacity - depth)).
-    """
-    if len(path) >= depth_capacity:
-        raise DepthOverflowError(
-            f"depth {len(path)} exceeds capacity of {depth_capacity} levels"
-        )
-    return dfat_rank(position_id(path), len(path), depth_capacity)
-
-
-_STEP_DIGITS = bytes.maketrans(bytes((LEFT, RIGHT)), b"01")
-
-
-def position_id(path: Path) -> int:
-    """Depth-independent identifier of a tree position (1-based heap id):
-    1 for the root, and 2*id + step for a child."""
-    return int(b"1" + bytes(path).translate(_STEP_DIGITS), 2)
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +140,10 @@ def check_ratio(kind: SchemeKind, ratio) -> Optional[Fraction]:
         return None
     if ratio is None:
         raise ValueError("hart requires a threshold_ratio")
-    frac = Fraction(str(ratio) if isinstance(ratio, float) else ratio)
+    try:
+        frac = Fraction(str(ratio) if isinstance(ratio, float) else ratio)
+    except ZeroDivisionError:
+        raise ValueError(f"ratio {ratio} has a zero denominator") from None
     if not 0 < frac <= 1:
         raise ValueError(f"ratio {ratio} outside (0, 1]")
     return frac
@@ -357,12 +341,10 @@ class AddressAssigner:
         """Incremental re-addressing of a rotation's moved nodes: the
         subtree under ``event.pivot``, walked in left-first preorder from
         ``event.pivot_id`` with each node's depth and heap id (a child's
-        is 2*id + step).  A DFAT
-        index follows in O(1) from the parent's, adding 1 or
-        2**(capacity - depth); only the subtree root, nodes just below the
-        linear region and level-order ranks are ranked from scratch.  Each
-        index computed adds one to :attr:`indexed_nodes`.  Returns
-        (node, old_addr, new_addr) relabels."""
+        is 2*id + step).  Each node below the linear region and within
+        the rank capacity is ranked from its heap id by the scheme's rank
+        function, as on insert, and adds one to :attr:`indexed_nodes`.
+        Returns (node, old_addr, new_addr) relabels."""
         if self.identity_bound:
             return []
         records = self.records
@@ -370,36 +352,28 @@ class AddressAssigner:
         cutoff = self.linear_cutoff
         rank = self._rank
         capacity = self.width
-        depth = event.pivot_level - ROOT_LEVEL
-        # Nodes deeper than ``scratch`` take their index from the parent.
-        scratch = max(cutoff, depth) if rank is dfat_rank else capacity
-        stack = [(event.pivot, depth, event.pivot_id, 0)]
+        stack = [(event.pivot, event.pivot_level - ROOT_LEVEL, event.pivot_id)]
         push = stack.append
         pop = stack.pop
         changers = []
         append = changers.append
         indexed = 0
         while stack:
-            node, depth, heap_id, parent = pop()
+            node, depth, heap_id = pop()
             if depth < cutoff:
-                index = target = None  # linear region
+                target = None  # linear region
             elif depth >= capacity:
-                index, target = 0, -1  # depth overflow: no representable target
+                target = -1  # depth overflow: no representable target
             else:
                 indexed += 1
-                if depth <= scratch:
-                    index = rank(heap_id, depth, capacity)
-                elif heap_id & 1 == (depth - 1) & 1:  # first-visited child
-                    index = parent + 1
-                else:
-                    index = parent + (1 << (capacity - depth))
+                index = rank(heap_id, depth, capacity)
                 target = index ^ (index >> 1)
             child = node.right
             if child is not None:
-                push((child, depth + 1, 2 * heap_id + 1, index))
+                push((child, depth + 1, 2 * heap_id + 1))
             child = node.left
             if child is not None:
-                push((child, depth + 1, 2 * heap_id, index))
+                push((child, depth + 1, 2 * heap_id))
             rec = records[node]
             if target is None:
                 if rec.source == SOURCE_LINEAR:

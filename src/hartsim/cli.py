@@ -23,7 +23,7 @@ from .addressing import (
     SchemeKind,
     Threshold,
     check_ratio,
-    dfat_index,
+    dfat_rank,
     SOURCE_LINEAR,
     SOURCE_RANDOM,
     SOURCE_SPARE,
@@ -243,21 +243,24 @@ def cmd_assign_dump(args) -> int:
     width = num_nodes.bit_length() + 2 if args.width is None else args.width
     scheme = SchemeConfig(kind, width, ratio, seed=args.seed)
     assigner = AddressAssigner(scheme, num_nodes)
-    tree = AvlTree()
-    for key in balanced_insertion_order(num_nodes):
-        tree.insert(key, on_attach=assigner.assign_on_insert)
-
     # The balanced tree is floor(log2 n) deep: below the width whenever
     # its n nodes fit the 2**width - 1 addresses (otherwise CapacityError
-    # came first), so every node has a DFAT rank.
+    # came first), so every node has a DFAT rank.  The build never
+    # rotates, so a node keeps the position and address it attached with.
     positional_name = "gray" if kind is SchemeKind.GRAY else "dfat-gray"
     header = ("key", "level", "region", "dfat_rank", "address")
     rows = []
-    for node, path in sorted(tree.nodes_with_paths(), key=lambda np: np[0].key):
-        rec = assigner.records[node]
-        region = _REGION_NAMES.get(rec.source, positional_name)
-        rows.append((node.key, len(path) + ROOT_LEVEL, region, dfat_index(path, width),
-                     format(rec.addr, f"0{width}b")))
+
+    def attach(node, depth, heap_id):
+        value = assigner.assign_on_insert(node, depth, heap_id)
+        region = _REGION_NAMES.get(assigner.records[node].source, positional_name)
+        rows.append((node.key, depth + ROOT_LEVEL, region, dfat_rank(heap_id, depth, width),
+                     format(value, f"0{width}b")))
+
+    tree = AvlTree()
+    for key in balanced_insertion_order(num_nodes):
+        tree.insert(key, on_attach=attach)
+    rows.sort()
     if args.out == "json":
         write_series_json(sys.stdout, header, rows)
     elif args.out == "csv":
@@ -291,7 +294,8 @@ def _add_common(sub) -> None:
     )
     sub.add_argument("--out", choices=("csv", "json"), default="csv")
     sub.add_argument("--output-dir", default=".")
-    sub.add_argument("--jobs", type=positive_int, default=1)
+    sub.add_argument("--jobs", type=positive_int, default=1,
+                     help="worker processes at most; never more than trials or CPUs")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,7 @@ runs unchanged.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -318,7 +319,8 @@ def _map_trials(fn, tasks, jobs: int) -> list:
     (key, ...) outcomes come back sorted by key, whatever the schedule."""
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial run skips its import
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)  # all start at once
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(fn, tasks, chunksize=1))
     else:
         outcomes = [fn(task) for task in tasks]

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own shortcuts: DFAT
 ranks come from an explicit traversal of the complete tree, flip totals
 come from full before/after snapshots of every stored word,
 ``avl_defect`` checks a tree's key order and cached balance factors
-against heights it recomputes in one walk, and ``gray_to_binary``
-inverts a Gray code by prefix XOR.
+against heights it recomputes in one walk, ``gray_to_binary``
+inverts a Gray code by prefix XOR, and ``heap_id_of`` builds a path's
+heap id one step at a time.
 """
 
 import math
@@ -37,6 +38,15 @@ def brute_force_dfat_ranks(depth_capacity):
 
     visit(())
     return ranks
+
+
+def heap_id_of(path):
+    """1-based heap id of a path of LEFT/RIGHT steps, built one step at
+    a time: 1 for the root, 2*id + (step is RIGHT) for a child."""
+    heap_id = 1
+    for step in path:
+        heap_id = 2 * heap_id + (step == RIGHT)
+    return heap_id
 
 
 def full_snapshot(runner, acct):

@@ -5,22 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_dfat_ranks, gray_to_binary
+from conftest import brute_force_dfat_ranks, gray_to_binary, heap_id_of
 from hartsim.addressing import (
     AddressSpace,
     CapacityError,
-    DepthOverflowError,
     MAX_POINTER_WIDTH,
     SchemeConfig,
     SchemeKind,
     Threshold,
     binary_to_gray,
-    dfat_index,
     dfat_rank,
     dfat_ranks,
     level_rank,
     level_ranks,
-    position_id,
     threshold_from_ratio,
     tree_height_estimate,
 )
@@ -64,9 +61,13 @@ def test_gray_roundtrip_wide(value):
 # ----------------------------------------------------------------------
 # DFAT indexing
 # ----------------------------------------------------------------------
+def dfat_of_path(path, capacity):
+    return dfat_rank(heap_id_of(path), len(path), capacity)
+
+
 def test_dfat_root_is_zero():
-    assert dfat_index((), 3) == 0
-    assert dfat_index((), 21) == 0
+    assert dfat_of_path((), 3) == 0
+    assert dfat_of_path((), 21) == 0
 
 
 def test_dfat_seven_position_enumeration():
@@ -80,11 +81,11 @@ def test_dfat_seven_position_enumeration():
         (RIGHT, LEFT): 6,
     }
     for path, rank in expect.items():
-        assert dfat_index(path, 3) == rank
+        assert dfat_of_path(path, 3) == rank
 
 
 def test_dfat_right_child_skips_left_subtree():
-    assert dfat_index((RIGHT,), 3) == 4
+    assert dfat_of_path((RIGHT,), 3) == 4
 
 
 def test_dfat_matches_traversal_oracle():
@@ -92,7 +93,7 @@ def test_dfat_matches_traversal_oracle():
         oracle = brute_force_dfat_ranks(capacity)
         assert len(oracle) == (1 << capacity) - 1
         for path, rank in oracle.items():
-            assert dfat_index(path, capacity) == rank
+            assert dfat_of_path(path, capacity) == rank
         # injective, with range [0, 2**capacity - 1)
         ranks = sorted(oracle.values())
         assert ranks == list(range((1 << capacity) - 1))
@@ -102,14 +103,6 @@ def _dfat_loop(path, capacity):
     """Reference: one term per step, 1 or the skipped subtree plus one."""
     return sum(1 if step == (i & 1) else 1 << (capacity - 1 - i)
                for i, step in enumerate(path))
-
-
-def _level_loop(path):
-    """Reference: the heap position built one step at a time, minus one."""
-    position = 1
-    for step in path:
-        position = 2 * position + (step == RIGHT)
-    return position - 1
 
 
 def _path_of_heap_id(heap_id):
@@ -124,59 +117,42 @@ def _path_of_heap_id(heap_id):
        level=st.lists(st.integers(0, (1 << 80) - 1), max_size=6))
 def test_dfat_closed_form_matches_the_step_loop(path, extra, level):
     capacity = len(path) + extra
-    assert dfat_index(path, capacity) == _dfat_loop(path, capacity)
+    assert dfat_of_path(path, capacity) == _dfat_loop(path, capacity)
     # ``path`` and up to six more positions at its depth, ranked as one level
     depth = len(path)
-    heap_ids = [position_id(path)] + [(1 << depth) | (bits & ((1 << depth) - 1))
-                                      for bits in level]
+    heap_ids = [heap_id_of(path)] + [(1 << depth) | (bits & ((1 << depth) - 1))
+                                     for bits in level]
     paths = [_path_of_heap_id(heap_id) for heap_id in heap_ids]
     assert paths[0] == path
     # each position alone (the scalar form) and the level as one call
     dfat = [_dfat_loop(p, capacity) for p in paths]
-    level = [_level_loop(p) for p in paths]
+    level = [heap_id_of(p) - 1 for p in paths]
     assert [dfat_rank(h, depth, capacity) for h in heap_ids] == dfat
     assert [level_rank(h, depth, capacity) for h in heap_ids] == level
     assert dfat_ranks(heap_ids, depth, capacity) == dfat
     assert level_ranks(heap_ids, depth, capacity) == level
 
 
-def test_dfat_depth_overflow():
-    with pytest.raises(DepthOverflowError):
-        dfat_index((LEFT, LEFT, LEFT), 3)
-    with pytest.raises(DepthOverflowError):
-        dfat_index((LEFT,), 1)
-
-
 def test_level_rank():
     def rank(path, capacity):
-        return level_rank(position_id(path), len(path), capacity)
+        return level_rank(heap_id_of(path), len(path), capacity)
 
     assert rank((), 4) == 0
     assert rank((LEFT,), 4) == 1
     assert rank((RIGHT,), 4) == 2
     assert rank((RIGHT, LEFT), 4) == 5
-    with pytest.raises(DepthOverflowError):
-        dfat_index((LEFT, LEFT), 2)
     # Whole levels, against a breadth-first count and the DFAT traversal.
     for capacity in range(1, 11):
         dfat = brute_force_dfat_ranks(capacity)
         rank = 0
         for depth in range(capacity):
             paths = list(product((LEFT, RIGHT), repeat=depth))  # left to right
-            heap_ids = [position_id(path) for path in paths]
+            heap_ids = [heap_id_of(path) for path in paths]
             assert heap_ids == list(range(1 << depth, 2 << depth))
             assert level_ranks(heap_ids, depth, capacity) == list(
                 range(rank, rank + len(paths)))
             assert dfat_ranks(heap_ids, depth, capacity) == [dfat[p] for p in paths]
             rank += len(paths)
-
-
-def test_position_id_unique_across_depths():
-    seen = set()
-    for capacity_path, rank in brute_force_dfat_ranks(5).items():
-        pid = position_id(capacity_path)
-        assert pid not in seen
-        seen.add(pid)
 
 
 def test_dfat_subtree_ranks_are_contiguous():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import address_map
+from conftest import address_map, heap_id_of
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import (
     AddressAssigner,
@@ -18,8 +18,7 @@ from hartsim.addressing import (
     SOURCE_RANDOM,
     SOURCE_SPARE,
     binary_to_gray,
-    dfat_index,
-    position_id,
+    dfat_rank,
 )
 from hartsim.avl import AvlTree, RotationEvent
 from hartsim.harness import (
@@ -199,7 +198,7 @@ def test_hart_seven_node_tree_regions_and_addresses():
             continue
         rec = assigner.records[node]
         assert rec.source == SOURCE_POSITIONAL
-        assert rec.addr == binary_to_gray(dfat_index(path, 5), 5)
+        assert rec.addr == binary_to_gray(dfat_rank(heap_id_of(path), len(path), 5), 5)
     # spot values from the hand enumeration
     addr = address_map(runner)
     assert addr[3] == 0  # root (key 3 of 0..6)
@@ -267,7 +266,7 @@ def test_hybrid_partition_audit_after_every_insert():
                     assert rec.source in (SOURCE_POSITIONAL, SOURCE_SPARE)
                     if rec.source == SOURCE_POSITIONAL:
                         assert rec.addr == binary_to_gray(
-                            dfat_index(path, 9), 9
+                            dfat_rank(heap_id_of(path), len(path), 9), 9
                         )
 
 
@@ -385,7 +384,7 @@ def test_full_pass_counts_nodes_indexed_below_linear_region(kind, ratio, indexed
 def test_depth_overflow_falls_back_to_spare_and_counts():
     assigner = AddressAssigner(SchemeConfig(SchemeKind.DFAT_GRAY, 4), num_nodes=31)
     deep_path = (0, 1, 0, 1)  # depth 4 does not fit 4 levels
-    value = assigner.assign_on_insert("node", len(deep_path), position_id(deep_path))
+    value = assigner.assign_on_insert("node", len(deep_path), heap_id_of(deep_path))
     assert assigner.overflow_fallbacks == 1
     assert assigner.records["node"].source == SOURCE_SPARE
     assert value == 0

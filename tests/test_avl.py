@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import avl_defect, build_tree, tree_height
+from conftest import avl_defect, build_tree, heap_id_of, tree_height
 from hartsim.avl import (
     LEFT,
     RIGHT,
@@ -14,7 +14,6 @@ from hartsim.avl import (
     DuplicateKeyError,
     Node,
 )
-from hartsim.addressing import position_id
 from hartsim.harness import gen_dataset
 
 
@@ -135,7 +134,7 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
     def attach(node, depth, heap_id):
         # the leaf is linked and no rotation has run yet
         path = dict(tree.nodes_with_paths())[node]
-        assert (depth, heap_id) == (len(path), position_id(path))
+        assert (depth, heap_id) == (len(path), heap_id_of(path))
         seen["attached"] += 1
 
     def before(sub_root, kind):
@@ -147,7 +146,7 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
         new_paths = dict(tree.nodes_with_paths())
         prefix = event.pivot_path
         assert len(prefix) == event.pivot_level - ROOT_LEVEL
-        assert position_id(prefix) == event.pivot_id
+        assert heap_id_of(prefix) == event.pivot_id
         expected = [
             (node, old_paths[node], path)
             for node, path in tree.nodes_with_paths()

@@ -12,7 +12,7 @@ import pytest
 
 from hartsim import harness
 from hartsim.accounting import AccountingConfig
-from hartsim.addressing import MAX_POINTER_WIDTH, SchemeConfig
+from hartsim.addressing import MAX_POINTER_WIDTH, SchemeConfig, SchemeKind
 from hartsim.cli import main, parse_bits, parse_ratio, parse_schemes
 from hartsim.report import TIMING_METRICS
 
@@ -68,6 +68,52 @@ def test_parse_ratio_accepts_decimals_and_fractions():
         parse_ratio("0")
     with pytest.raises(ValueError):
         parse_ratio("1.5")
+    with pytest.raises(ValueError, match="ratio 1/0 has a zero denominator"):
+        SchemeConfig(SchemeKind.HART, 8, "1/0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--bits", "8", "--trials", "1", "--ratio", "1/0"],
+    ["compare-thresholds", "--bits", "8", "--trials", "1", "--ratios", "0.5,1/0"],
+    ["assign-dump", "--nodes", "7", "--ratio", "1/0"],
+])
+def test_zero_denominator_ratio_is_a_clean_error(tmp_path, capsys, argv):
+    if argv[0] != "assign-dump":
+        argv = argv + ["--output-dir", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: ratio 1/0 has a zero denominator\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_jobs_start_no_more_workers_than_tasks_or_cpus(tmp_path, monkeypatch):
+    """``--jobs`` caps the pool; it is not the number of processes
+    started.  A stand-in pool records its size and maps in this process."""
+    argv = ["bench", "--bits", "8", "--trials", "3", "--schemes", "linear,gray"]
+    assert main(argv + ["--output-dir", str(tmp_path / "serial")]) == 0
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    for cpus, workers in ((64, 6), (4, 4), (None, 1)):  # 2 schemes x 3 trials = 6 tasks
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(argv + ["--jobs", str(10**6), "--output-dir", str(out)]) == 0
+        assert sizes.pop() == workers
+        assert stable_rows(read_csv(out / "bench.csv")) == stable_rows(
+            read_csv(tmp_path / "serial" / "bench.csv"))
+    assert sizes == []
 
 
 def test_parse_schemes_all_expands_to_five():

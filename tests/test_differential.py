@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import address_map, avl_defect, brute_force_dfat_ranks
+from conftest import address_map, avl_defect, brute_force_dfat_ranks, heap_id_of
 from test_accounting import ORACLE_ACCOUNTINGS, run_with_snapshot_oracle
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import (
@@ -31,7 +31,6 @@ from hartsim.addressing import (
     SOURCE_POSITIONAL,
     SOURCE_SPARE,
     binary_to_gray,
-    position_id,
 )
 from hartsim.avl import LEFT, RIGHT, ROOT_LEVEL, ROOT_SLOT, AvlTree
 from hartsim.harness import DECOMPOSED, FULL_PASS, INCREMENTAL, PER_CASE, TrialRunner
@@ -97,7 +96,7 @@ def check_records(run, width):
         if rec.source == SOURCE_POSITIONAL:
             assert rec.addr == binary_to_gray(ranks[path], width), path
         elif rec.source == SOURCE_SPARE:
-            assert rec.bound_pos == position_id(path), path
+            assert rec.bound_pos == heap_id_of(path), path
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
