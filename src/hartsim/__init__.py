@@ -5,7 +5,6 @@ from .accounting import (
     AccountingConfig,
     FlipLedger,
     WordWrite,
-    bit_flips,
     record_rotation,
 )
 from .addressing import (
@@ -14,8 +13,6 @@ from .addressing import (
     CapacityError,
     SchemeConfig,
     SchemeKind,
-    Threshold,
-    binary_to_gray,
     threshold_from_ratio,
     tree_height_estimate,
 )

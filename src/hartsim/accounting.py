@@ -22,12 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .avl import ROOT_SLOT, RotationEvent  # noqa: F401  (ROOT_SLOT re-exported)
-
-
-def bit_flips(old: int, new: int) -> int:
-    """Number of differing bit positions between two word values."""
-    return (old ^ new).bit_count()
+from .avl import RotationEvent
 
 
 class WordWrite:

@@ -39,16 +39,6 @@ class CapacityError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# bit-level encodings
-# ----------------------------------------------------------------------
-def binary_to_gray(value: int, width: int) -> int:
-    """Gray code of ``value``: value XOR (value >> 1)."""
-    if not 0 <= value < (1 << width):
-        raise ValueError(f"value {value} out of range for {width} bits")
-    return value ^ (value >> 1)
-
-
-# ----------------------------------------------------------------------
 # positional indexing
 # ----------------------------------------------------------------------
 def dfat_rank(heap_id: int, depth: int, depth_capacity: int) -> int:
@@ -104,19 +94,6 @@ def threshold_from_ratio(height: int, ratio) -> int:
     if height < 1:
         raise ValueError("height must be >= 1")
     return max(1, int(check_ratio(SchemeKind.HART, ratio) * height + Fraction(1, 2)))
-
-
-@dataclass(frozen=True)
-class Threshold:
-    """Height estimate H and the level T splitting linear from DFAT-Gray."""
-
-    height: int
-    level: int
-
-    @classmethod
-    def for_tree(cls, num_nodes: int, ratio) -> "Threshold":
-        height = tree_height_estimate(num_nodes)
-        return cls(height=height, level=threshold_from_ratio(height, ratio))
 
 
 # ----------------------------------------------------------------------
@@ -274,12 +251,11 @@ class AddressAssigner:
         # Nodes at depths below the cutoff take linear addresses; a
         # linear tree gets deeper than its width, so its cutoff is unbounded.
         self.linear_cutoff = sys.maxsize if config.kind is SchemeKind.LINEAR else 0
-        self.threshold: Optional[Threshold] = None
         if config.kind is SchemeKind.HART:
             if num_nodes is None:
                 raise ValueError("hart needs num_nodes to derive its threshold")
-            self.threshold = Threshold.for_tree(num_nodes, config.threshold_ratio)
-            self.linear_cutoff = self.threshold.level
+            self.linear_cutoff = threshold_from_ratio(tree_height_estimate(num_nodes),
+                                                      config.threshold_ratio)
         # Linear and random addresses stay with their node for good.
         self.identity_bound = config.kind in (SchemeKind.LINEAR, SchemeKind.RANDOM)
         self._rank, self._ranks = ((level_rank, level_ranks) if config.kind is SchemeKind.GRAY

@@ -21,9 +21,10 @@ from .addressing import (
     CapacityError,
     SchemeConfig,
     SchemeKind,
-    Threshold,
     check_ratio,
     dfat_rank,
+    threshold_from_ratio,
+    tree_height_estimate,
     SOURCE_LINEAR,
     SOURCE_RANDOM,
     SOURCE_SPARE,
@@ -111,6 +112,8 @@ def parse_schemes(text: str, ratio: Fraction) -> list:
         tags = [kind.value for kind in SchemeKind]
     else:
         tags = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
+    if not tags:
+        raise ValueError("no schemes given")
     return [SchemeSpec(kind, ratio if kind is SchemeKind.HART else None)
             for kind in map(SchemeKind, tags)]
 
@@ -123,7 +126,6 @@ def accounting_from_flag(value: str) -> AccountingConfig:
 def _write_file(args, name, write, *table) -> str:
     """Write one table to ``<--output-dir>/<name>.<--out>`` with a
     ``report`` writer; return the path."""
-    os.makedirs(args.output_dir, exist_ok=True)
     path = os.path.join(args.output_dir, f"{name}.{args.out}")
     with open(path, "w", newline="") as handle:
         write(handle, *table)
@@ -146,6 +148,7 @@ def cmd_bench(args) -> int:
         reassign_mode=args.mode,
         rotation_counting=args.rotation_counting,
     )
+    os.makedirs(args.output_dir, exist_ok=True)  # fail before any trial runs
     cells = run_experiment(config, jobs=args.jobs)
     rows = [row for cell in cells for row in rows_from_cell(cell)]
     write = write_rows_csv if args.out == "csv" else write_rows_json
@@ -168,15 +171,16 @@ def cmd_bench(args) -> int:
 
 def cmd_compare_thresholds(args) -> int:
     num_nodes = check_tree_size(tree_size(args))
-    ratios = (
-        tuple(parse_ratio(text) for text in args.ratios.split(","))
-        if args.ratios
-        else DEFAULT_RATIOS
-    )
-    thresholds = [Threshold.for_tree(num_nodes, ratio) for ratio in ratios]
+    ratios = DEFAULT_RATIOS
+    if args.ratios is not None:
+        ratios = tuple(parse_ratio(text) for text in args.ratios.split(",") if text.strip())
+        if not ratios:
+            raise ValueError("no ratios given")
+    height = tree_height_estimate(num_nodes)
+    levels = [threshold_from_ratio(height, ratio) for ratio in ratios]
+    os.makedirs(args.output_dir, exist_ok=True)  # fail before any trial runs
     if args.emit_thresholds:
-        levels = ", ".join(f"T({r})={t.level}" for r, t in zip(ratios, thresholds))
-        print(f"H={thresholds[0].height}  {levels}")
+        print(f"H={height}  " + ", ".join(f"T({r})={t}" for r, t in zip(ratios, levels)))
     cells = compare_thresholds(
         num_nodes,
         ratios=ratios,
@@ -188,11 +192,11 @@ def cmd_compare_thresholds(args) -> int:
         rotation_counting=args.rotation_counting,
     )
     rows = []
-    for cell, threshold in zip(cells, thresholds):
+    for cell, level in zip(cells, levels):
         rows.extend(rows_from_cell(cell))
         mean = cell.mean_flips_per_rotation
         print(
-            f"ratio={cell.threshold_ratio} H={threshold.height} T={threshold.level} "
+            f"ratio={cell.threshold_ratio} H={height} T={level} "
             f"mean_flips={'n/a' if mean is None else f'{mean:.4f}'} "
             f"wall_time_s={cell.wall_seconds_per_trial:.4f}"
         )
@@ -204,6 +208,7 @@ def cmd_compare_thresholds(args) -> int:
 
 def cmd_rotations(args) -> int:
     widths = parse_bits(args.bits)
+    os.makedirs(args.output_dir, exist_ok=True)  # fail before any trial runs
     hists = rotations_histograms(
         widths,
         args.trials,
@@ -353,7 +358,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CapacityError) as exc:
+    except (ValueError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,9 +14,8 @@ Trials are independent and reproducible: all randomness derives from
 module where there is one since ``hashlib`` loads OpenSSL, and the key
 permutation for a given (base_seed, width, trial) is shared by every
 scheme so scheme comparisons are paired.  A grid works out each cell's
-tree size and checks it once, then describes each trial as its (cell,
-trial) key and :func:`run_trial`'s own arguments, which a pool worker
-runs unchanged.
+tree size and checks it once, then describes each trial by
+:func:`run_trial`'s own arguments, which a pool worker runs unchanged.
 """
 
 from __future__ import annotations
@@ -316,22 +315,18 @@ class CellResult:
 
 def _map_trials(fn, tasks, jobs: int) -> list:
     """``fn`` over ``tasks``, in a process pool when ``jobs`` > 1; the
-    (key, ...) outcomes come back sorted by key, whatever the schedule."""
+    outcomes come back in task order, whatever the schedule."""
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial run skips its import
         workers = min(jobs, len(tasks), os.cpu_count() or 1)  # all start at once
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(fn, tasks, chunksize=1))
-    else:
-        outcomes = [fn(task) for task in tasks]
-    return sorted(outcomes, key=lambda item: item[0])
+            return list(pool.map(fn, tasks, chunksize=1))
+    return [fn(task) for task in tasks]
 
 
-def _trial_task(task):
-    """A grid trial's outcome under its (cell, trial) key; the task is
-    that key followed by :func:`run_trial`'s arguments."""
-    key, *args = task
-    return key, *run_trial(*args)
+def _trial_task(args):
+    """A grid trial's outcome; the task is :func:`run_trial`'s arguments."""
+    return run_trial(*args)
 
 
 def _run_cells(cells, trials: int, base_seed: int,
@@ -339,8 +334,9 @@ def _run_cells(cells, trials: int, base_seed: int,
                jobs: int, rotation_counting: str) -> list:
     """Every trial of every (width, spec, num_nodes) cell through one
     :func:`_map_trials` call, so one process pool serves the whole
-    experiment; each cell's outcomes are merged in trial order.
-    Returns the CellResults in cell order."""
+    experiment.  Tasks are listed cell by cell, so outcome i belongs to
+    cell i // trials, and each cell's outcomes are merged in trial
+    order.  Returns the CellResults in cell order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if accounting is None:
@@ -350,17 +346,17 @@ def _run_cells(cells, trials: int, base_seed: int,
         for width, _, num_nodes in cells
     ]
     tasks = [
-        ((cell, trial),
-         SchemeConfig(spec.kind, width, spec.threshold_ratio,
+        (SchemeConfig(spec.kind, width, spec.threshold_ratio,
                       seed=scheme_seed(base_seed, width, spec.tag, spec.threshold_ratio, trial)),
          dataset_seed(base_seed, width, trial), accounting, reassign_mode,
-         sizes[cell], rotation_counting)
-        for cell, (width, spec, _) in enumerate(cells)
+         size, rotation_counting)
+        for (width, spec, _), size in zip(cells, sizes)
         for trial in range(trials)
     ]
     ledgers = [FlipLedger() for _ in cells]
     walls = [0.0] * len(cells)
-    for (cell, _), ledger, wall in _map_trials(_trial_task, tasks, jobs):
+    for i, (ledger, wall) in enumerate(_map_trials(_trial_task, tasks, jobs)):
+        cell = i // trials
         ledgers[cell] = ledgers[cell].merge(ledger)
         walls[cell] += wall
     return [
@@ -414,7 +410,7 @@ def compare_thresholds(
 
 
 def _histogram_task(task):
-    key, num_nodes, seed, counting = task
+    num_nodes, seed, counting = task
     tree = AvlTree()
     counts: dict = {}
     for new_key in gen_dataset(num_nodes, seed):
@@ -428,7 +424,7 @@ def _histogram_task(task):
             levels = tuple(e.pivot_level for e in events)
         for level in levels:
             counts[level] = counts.get(level, 0) + 1
-    return key, counts
+    return counts
 
 
 def rotations_histograms(
@@ -445,14 +441,13 @@ def rotations_histograms(
         raise ValueError("trials must be >= 1")
     check_modes(INCREMENTAL, rotation_counting)
     tasks = [
-        ((index, trial), nodes_for_width(width), dataset_seed(base_seed, width, trial),
-         rotation_counting)
-        for index, width in enumerate(widths)
+        (nodes_for_width(width), dataset_seed(base_seed, width, trial), rotation_counting)
+        for width in widths
         for trial in range(trials)
     ]
     totals = [Counter() for _ in widths]
-    for (index, _), counts in _map_trials(_histogram_task, tasks, jobs):
-        totals[index].update(counts)
+    for i, counts in enumerate(_map_trials(_histogram_task, tasks, jobs)):
+        totals[i // trials].update(counts)
     return [{level: total[level] / trials for level in sorted(total)}
             for total in totals]
 

@@ -13,10 +13,6 @@ import json
 CSV_FIELDS = ("width", "scheme", "threshold_ratio", "metric", "value",
               "trials", "seed")
 
-#: Metrics whose values are timing-dependent and therefore excluded
-#: from byte-identity comparisons between runs.
-TIMING_METRICS = ("wall_time_seconds",)
-
 
 def rows_from_cell(cell) -> list:
     """Expand one grid cell into metric rows, tuples in CSV_FIELDS order."""

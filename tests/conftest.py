@@ -4,9 +4,9 @@ The oracles here deliberately avoid the library's own shortcuts: DFAT
 ranks come from an explicit traversal of the complete tree, flip totals
 come from full before/after snapshots of every stored word,
 ``avl_defect`` checks a tree's key order and cached balance factors
-against heights it recomputes in one walk, ``gray_to_binary``
-inverts a Gray code by prefix XOR, and ``heap_id_of`` builds a path's
-heap id one step at a time.
+against heights it recomputes in one walk, ``binary_to_gray`` and
+``gray_to_binary`` encode and invert a Gray code, and ``heap_id_of``
+builds a path's heap id one step at a time.
 """
 
 import math
@@ -15,8 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hartsim.accounting import ROOT_SLOT, bit_flips  # noqa: E402
-from hartsim.avl import LEFT, RIGHT, AvlTree  # noqa: E402
+from hartsim.avl import LEFT, RIGHT, ROOT_SLOT, AvlTree  # noqa: E402
 
 
 def brute_force_dfat_ranks(depth_capacity):
@@ -84,9 +83,9 @@ def snapshot_flip_diff(before, after):
         owner0, word0 = before[slot]
         owner1, word1 = after[slot]
         if slot[0] == "label":
-            total += bit_flips(word0, word1)
+            total += (word0 ^ word1).bit_count()
         elif owner0 is not owner1 and word0 != word1:
-            total += bit_flips(word0, word1)
+            total += (word0 ^ word1).bit_count()
     return total
 
 
@@ -136,6 +135,11 @@ def tree_height(tree):
         height += 1
         node = node.right if node.balance > 0 else node.left
     return height
+
+
+def binary_to_gray(value):
+    """Gray code of ``value``: value XOR (value >> 1)."""
+    return value ^ (value >> 1)
 
 
 def gray_to_binary(gray):

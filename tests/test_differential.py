@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import address_map, avl_defect, brute_force_dfat_ranks, heap_id_of
+from conftest import address_map, avl_defect, binary_to_gray, brute_force_dfat_ranks, heap_id_of
 from test_accounting import ORACLE_ACCOUNTINGS, run_with_snapshot_oracle
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import (
@@ -30,7 +30,6 @@ from hartsim.addressing import (
     SchemeKind,
     SOURCE_POSITIONAL,
     SOURCE_SPARE,
-    binary_to_gray,
 )
 from hartsim.avl import LEFT, RIGHT, ROOT_LEVEL, ROOT_SLOT, AvlTree
 from hartsim.harness import DECOMPOSED, FULL_PASS, INCREMENTAL, PER_CASE, TrialRunner
@@ -94,7 +93,7 @@ def check_records(run, width):
         assert rec.addr not in seen, f"address {rec.addr} given twice"
         seen.add(rec.addr)
         if rec.source == SOURCE_POSITIONAL:
-            assert rec.addr == binary_to_gray(ranks[path], width), path
+            assert rec.addr == binary_to_gray(ranks[path]), path
         elif rec.source == SOURCE_SPARE:
             assert rec.bound_pos == heap_id_of(path), path
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import avl_defect
 from hartsim.accounting import AccountingConfig
-from hartsim.addressing import SchemeConfig, SchemeKind, Threshold
+from hartsim.addressing import (SchemeConfig, SchemeKind, threshold_from_ratio,
+                                 tree_height_estimate)
 from hartsim.avl import AvlTree
 from hartsim import cli, harness
 from hartsim.harness import (
@@ -217,10 +218,10 @@ def test_compare_thresholds_structure():
     cells = compare_thresholds(63, trials=2, base_seed=1)
     ratios = [cell.threshold_ratio for cell in cells]
     assert ratios == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
-    thresholds = [Threshold.for_tree(63, ratio) for ratio in ratios]
-    assert {threshold.level for threshold in thresholds} == {2, 3, 5}
-    for cell, threshold in zip(cells, thresholds):
-        assert threshold.height == 6
+    height = tree_height_estimate(63)
+    assert height == 6
+    assert {threshold_from_ratio(height, ratio) for ratio in ratios} == {2, 3, 5}
+    for cell in cells:
         assert cell.width == 8
         assert cell.trials == 2
         assert cell.scheme_tag == "hart"
@@ -231,7 +232,7 @@ def test_compare_thresholds_clamps_tiny_tree():
     cells = compare_thresholds(1, trials=1, base_seed=0)
     assert len(cells) == 3
     for cell in cells:
-        assert Threshold.for_tree(1, cell.threshold_ratio).level == 1
+        assert threshold_from_ratio(tree_height_estimate(1), cell.threshold_ratio) == 1
         assert cell.mean_flips_per_rotation is None  # no rotations
 
 
