@@ -57,8 +57,20 @@ from .report import (
 ASSIGN_DUMP_LIMIT = 1 << 10
 
 
+def _distinct(items, what: str) -> list:
+    """``items`` as a list: a ValueError if it is empty or names one twice."""
+    items = list(items)
+    if not items:
+        raise ValueError(f"no {what}s given")
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ValueError(f"{what} {item} given twice")
+    return items
+
+
 def parse_bits(text: str) -> list:
-    """Parse widths: single values, comma lists, inclusive ranges a-b."""
+    """Parse widths: single values, comma lists, inclusive ranges a-b;
+    a width given twice, also by overlapping ranges, is an error."""
     widths = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -73,9 +85,7 @@ def parse_bits(text: str) -> list:
             widths.extend(range(lo, hi + 1))
         else:
             widths.append(int(chunk))
-    if not widths:
-        raise ValueError("no widths given")
-    return widths
+    return _distinct(widths, "width")
 
 
 def single_width(args) -> int:
@@ -112,10 +122,8 @@ def parse_schemes(text: str, ratio: Fraction) -> list:
         tags = [kind.value for kind in SchemeKind]
     else:
         tags = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
-    if not tags:
-        raise ValueError("no schemes given")
     return [SchemeSpec(kind, ratio if kind is SchemeKind.HART else None)
-            for kind in map(SchemeKind, tags)]
+            for kind in map(SchemeKind, _distinct(tags, "scheme"))]
 
 
 def accounting_from_flag(value: str) -> AccountingConfig:
@@ -123,13 +131,20 @@ def accounting_from_flag(value: str) -> AccountingConfig:
     return AccountingConfig(value != "relabel", value != "pointer")
 
 
-def _write_file(args, name, write, *table) -> str:
-    """Write one table to ``<--output-dir>/<name>.<--out>`` with a
-    ``report`` writer; return the path."""
-    path = os.path.join(args.output_dir, f"{name}.{args.out}")
+def _output_paths(args, *names) -> list:
+    """``<--output-dir>/<name>.<--out>`` for each name, each opened for
+    append (truncating nothing) so that one not writable fails early."""
+    os.makedirs(args.output_dir, exist_ok=True)
+    paths = [os.path.join(args.output_dir, f"{name}.{args.out}") for name in names]
+    for path in paths:
+        open(path, "a").close()
+    return paths
+
+
+def _write_file(path, write, *table) -> None:
+    """Write one table to ``path`` with a ``report`` writer."""
     with open(path, "w", newline="") as handle:
         write(handle, *table)
-    return path
 
 
 # ----------------------------------------------------------------------
@@ -148,11 +163,11 @@ def cmd_bench(args) -> int:
         reassign_mode=args.mode,
         rotation_counting=args.rotation_counting,
     )
-    os.makedirs(args.output_dir, exist_ok=True)  # fail before any trial runs
+    (path,) = _output_paths(args, "bench")
     cells = run_experiment(config, jobs=args.jobs)
     rows = [row for cell in cells for row in rows_from_cell(cell)]
     write = write_rows_csv if args.out == "csv" else write_rows_json
-    path = _write_file(args, "bench", write, rows)
+    _write_file(path, write, rows)
     for cell in cells:
         mean = cell.mean_flips_per_rotation
         mean_text = "n/a" if mean is None else f"{mean:.4f}"
@@ -173,12 +188,10 @@ def cmd_compare_thresholds(args) -> int:
     num_nodes = check_tree_size(tree_size(args))
     ratios = DEFAULT_RATIOS
     if args.ratios is not None:
-        ratios = tuple(parse_ratio(text) for text in args.ratios.split(",") if text.strip())
-        if not ratios:
-            raise ValueError("no ratios given")
+        ratios = _distinct(map(parse_ratio, filter(str.strip, args.ratios.split(","))), "ratio")
     height = tree_height_estimate(num_nodes)
     levels = [threshold_from_ratio(height, ratio) for ratio in ratios]
-    os.makedirs(args.output_dir, exist_ok=True)  # fail before any trial runs
+    (path,) = _output_paths(args, "thresholds")
     if args.emit_thresholds:
         print(f"H={height}  " + ", ".join(f"T({r})={t}" for r, t in zip(ratios, levels)))
     cells = compare_thresholds(
@@ -201,14 +214,16 @@ def cmd_compare_thresholds(args) -> int:
             f"wall_time_s={cell.wall_seconds_per_trial:.4f}"
         )
     write = write_rows_csv if args.out == "csv" else write_rows_json
-    path = _write_file(args, "thresholds", write, rows)
+    _write_file(path, write, rows)
     print(f"wrote {path}")
     return 0
 
 
 def cmd_rotations(args) -> int:
     widths = parse_bits(args.bits)
-    os.makedirs(args.output_dir, exist_ok=True)  # fail before any trial runs
+    for width in widths:
+        nodes_for_width(width)  # a width with no tree fails before any file is made
+    paths = _output_paths(args, *(f"rotations_bits{width}" for width in widths))
     hists = rotations_histograms(
         widths,
         args.trials,
@@ -218,11 +233,11 @@ def cmd_rotations(args) -> int:
     )
     header = ("level", "avg_rotations", "trials", "seed")
     write = write_series_csv if args.out == "csv" else write_series_json
-    for width, hist in zip(widths, hists):
+    for width, path, hist in zip(widths, paths, hists):
         series = [
             (level, avg, args.trials, args.seed) for level, avg in hist.items()
         ]
-        path = _write_file(args, f"rotations_bits{width}", write, header, series)
+        _write_file(path, write, header, series)
         peak = max(hist, key=hist.__getitem__, default=None)  # None: no rotation
         summary = ("peak_level=n/a peak_avg=n/a" if peak is None
                    else f"peak_level={peak} peak_avg={hist[peak]:.2f}")

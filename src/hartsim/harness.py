@@ -15,7 +15,7 @@ module where there is one since ``hashlib`` loads OpenSSL, and the key
 permutation for a given (base_seed, width, trial) is shared by every
 scheme so scheme comparisons are paired.  A grid works out each cell's
 tree size and checks it once, then describes each trial by
-:func:`run_trial`'s own arguments, which a pool worker runs unchanged.
+:func:`run_trial`'s own arguments, which a forked worker runs unchanged.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ _DOUBLE_KINDS = ("LR", "RL")
 #: Most nodes one trial may build, nodes_for_width(24).  A width-14 trial
 #: peaks at 260-360 bytes per node under tracemalloc (key list, tree
 #: node, address record, dict entries); at 512 with headroom, 2**22 nodes
-#: take 2 GiB, so two pool workers fit in 8 GiB of memory with room left.
+#: take 2 GiB, so two workers fit in 8 GiB of memory with room left.
 MAX_NODES = (1 << 22) - 1
 
 
@@ -314,14 +314,49 @@ class CellResult:
 
 
 def _map_trials(fn, tasks, jobs: int) -> list:
-    """``fn`` over ``tasks``, in a process pool when ``jobs`` > 1; the
-    outcomes come back in task order, whatever the schedule."""
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # a serial run skips its import
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)  # all start at once
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, chunksize=1))
-    return [fn(task) for task in tasks]
+    """``fn`` over ``tasks``, outcomes in task order: N = min(jobs, tasks,
+    CPUs) forked workers each pipe back every N-th task's outcome, or the
+    exception to raise here; with N < 2, or no ``os.fork``, in-process."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(task) for task in tasks]
+    import pickle, signal  # an in-process run loads neither
+    running = {}  # pid -> the read end of its pipe, until the worker is reaped
+    try:
+        for k in range(workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker leaves by os._exit: no flush, no atexit
+                try:
+                    try:
+                        outcome = True, [fn(task) for task in tasks[k::workers]]
+                    except Exception as exc:
+                        outcome = False, exc
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(outcome, pipe)
+                    os._exit(0)
+                finally:  # whatever escaped, this worker goes no further
+                    os._exit(1)
+            os.close(write_end)
+            running[pid] = open(read_end, "rb")
+        shares = []
+        for pid, pipe in list(running.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[pid]
+            if status:
+                raise RuntimeError(f"trial worker {pid} exited with status {status}")
+            ok, share = pickle.loads(data)
+            if not ok:
+                raise share
+            shares.append(share)
+    finally:
+        for pid, pipe in running.items():  # after an error: stop and reap the rest
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[i % workers][i // workers] for i in range(len(tasks))]
 
 
 def _trial_task(args):
@@ -333,10 +368,10 @@ def _run_cells(cells, trials: int, base_seed: int,
                accounting: Optional[AccountingConfig], reassign_mode: str,
                jobs: int, rotation_counting: str) -> list:
     """Every trial of every (width, spec, num_nodes) cell through one
-    :func:`_map_trials` call, so one process pool serves the whole
-    experiment.  Tasks are listed cell by cell, so outcome i belongs to
-    cell i // trials, and each cell's outcomes are merged in trial
-    order.  Returns the CellResults in cell order."""
+    :func:`_map_trials` call, so one fan-out serves the whole experiment.
+    Tasks are listed cell by cell, so each worker's stride takes a share
+    of every cell, and outcome i belongs to cell i // trials; each cell's
+    outcomes are merged in trial order.  Returns CellResults in order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if accounting is None:
@@ -436,7 +471,7 @@ def rotations_histograms(
 ) -> list:
     """Average rotations per pivot level for each of ``widths``, in that
     order; every width's trials go through one :func:`_map_trials` call,
-    so one process pool serves them all.  Addressing-independent."""
+    so one fan-out serves them all.  Addressing-independent."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_modes(INCREMENTAL, rotation_counting)

@@ -10,12 +10,27 @@ builds a path's heap id one step at a time.
 """
 
 import math
+import os
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hartsim.avl import LEFT, RIGHT, ROOT_SLOT, AvlTree  # noqa: E402
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_process_outlives_the_tests():
+    """Fails the run if a test leaves a child process, running or
+    unreaped: a fan-out that leaks a worker shows here."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the tests (waitpid gave pid {pid})")
 
 
 def brute_force_dfat_ranks(depth_capacity):

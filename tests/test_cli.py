@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import importlib.util
 import json
@@ -63,6 +62,9 @@ def test_parse_bits_forms():
         parse_bits("9-8")
     with pytest.raises(ValueError):
         parse_bits("")
+    for text, width in (("8,8", 8), ("8-10,9", 9), ("9, 8-10", 9)):
+        with pytest.raises(ValueError, match=f"^width {width} given twice$"):
+            parse_bits(text)
 
 
 def test_parse_ratio_accepts_decimals_and_fractions():
@@ -93,66 +95,90 @@ def test_zero_denominator_ratio_is_a_clean_error(tmp_path, capsys, argv):
     (["bench", "--bits", "8", "--schemes", ","], "no schemes given"),
     (["compare-thresholds", "--bits", "8", "--ratios", ""], "no ratios given"),
     (["compare-thresholds", "--bits", "8", "--ratios", ","], "no ratios given"),
+    (["bench", "--bits", "8", "--schemes", "linear,linear"], "scheme linear given twice"),
+    (["bench", "--bits", "8,8", "--schemes", "linear"], "width 8 given twice"),
+    (["bench", "--bits", "8-10,9"], "width 9 given twice"),
+    (["rotations", "--bits", "8,8"], "width 8 given twice"),
+    (["compare-thresholds", "--bits", "8", "--ratios", "0.5,1/2"], "ratio 1/2 given twice"),
 ])
 def test_empty_scheme_or_ratio_list_is_a_clean_error(tmp_path, capsys, argv, message):
+    """An empty list, or one that names a width, scheme or ratio twice
+    (ratios compared as fractions, widths after ranges expand), is one
+    error line before any output is made."""
     out = tmp_path / "out"
     assert main(argv + ["--trials", "1", "--output-dir", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
+#: The last output file of each command in the cases below.
+LAST_OUTPUT = {"bench": "bench.csv", "compare-thresholds": "thresholds.csv",
+               "rotations": "rotations_bits9.csv"}
+
+
 @pytest.mark.parametrize("argv", [
     ["bench", "--bits", "8", "--trials", "1"],
     ["compare-thresholds", "--bits", "8", "--trials", "1", "--emit-thresholds"],
-    ["rotations", "--bits", "8", "--trials", "1"],
+    ["rotations", "--bits", "8-9", "--trials", "1"],
 ])
-@pytest.mark.parametrize("output_dir", ["file", "file/sub"])
+@pytest.mark.parametrize("output_dir", ["file", "file/sub", "blocked"])
 def test_unusable_output_dir_fails_before_any_trial(tmp_path, capsys, monkeypatch, argv,
                                                     output_dir):
-    """An ``--output-dir`` that names a file, or a path under one, is one
-    error line before any trial runs, not a traceback after the grid."""
+    """An ``--output-dir`` that names a file, or a path under one, or a
+    directory where an output file should go, is one error line before
+    any trial runs, not a traceback or an error after the grid."""
     (tmp_path / "file").write_text("kept")
+    if output_dir == "blocked":
+        (tmp_path / output_dir / LAST_OUTPUT[argv[0]]).mkdir(parents=True)
 
     def no_trials(*args):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(harness, "_map_trials", no_trials)
     assert main(argv + ["--output-dir", str(tmp_path / output_dir)]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert out == ""  # --emit-thresholds prints after the check
     assert (tmp_path / "file").read_text() == "kept"
+    if output_dir == "blocked":
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "file"]
+        assert (tmp_path / output_dir / LAST_OUTPUT[argv[0]]).is_dir()
+        made = [p for p in (tmp_path / output_dir).iterdir() if p.is_file()]
+        assert all(p.stat().st_size == 0 for p in made), made
+    else:
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def counting_forks(monkeypatch) -> list:
+    """Patch ``os.fork`` with a wrapper that calls the real one and
+    records, in this process, the pid of every worker it starts."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 def test_jobs_start_no_more_workers_than_tasks_or_cpus(tmp_path, monkeypatch):
-    """``--jobs`` caps the pool; it is not the number of processes
-    started.  A stand-in pool records its size and maps in this process."""
+    """``--jobs`` caps the workers; it is not the number of processes
+    started.  With an unknown CPU count the trials run in this process."""
     argv = ["bench", "--bits", "8", "--trials", "3", "--schemes", "linear,gray"]
     assert main(argv + ["--output-dir", str(tmp_path / "serial")]) == 0
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers=None):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    for cpus, workers in ((64, 6), (4, 4), (None, 1)):  # 2 schemes x 3 trials = 6 tasks
+    forks = counting_forks(monkeypatch)
+    for cpus, workers in ((64, 6), (4, 4), (None, 0)):  # 2 schemes x 3 trials = 6 tasks
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         out = tmp_path / f"cpus{cpus}"
         assert main(argv + ["--jobs", str(10**6), "--output-dir", str(out)]) == 0
-        assert sizes.pop() == workers
+        assert len(forks) == workers
+        forks.clear()
         assert stable_rows(read_csv(out / "bench.csv")) == stable_rows(
             read_csv(tmp_path / "serial" / "bench.csv"))
-    assert sizes == []
 
 
 def test_parse_schemes_all_expands_to_five():
@@ -462,18 +488,14 @@ def test_assign_dump_rejects_a_width_past_one_machine_word(capsys):
 
 
 def test_rotations_runs_every_width_through_one_pool(tmp_path, monkeypatch):
+    """One fan-out serves all five widths: two workers at ``--jobs 2``,
+    not two per width."""
     argv = ["rotations", "--bits", "8-12", "--trials", "2", "--seed", "3"]
     assert main(argv + ["--output-dir", str(tmp_path / "serial")]) == 0
-    pools = []
-    real_pool = concurrent.futures.ProcessPoolExecutor
-
-    def counting_pool(*args, **kwargs):
-        pools.append(kwargs)
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+    forks = counting_forks(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert main(argv + ["--jobs", "2", "--output-dir", str(tmp_path / "pool")]) == 0
-    assert len(pools) == 1
+    assert len(forks) == 2
     for width in range(8, 13):
         name = f"rotations_bits{width}.csv"
         assert (tmp_path / "pool" / name).read_text() == (
@@ -552,9 +574,9 @@ def test_rotations_rejects_flags_it_does_not_read(tmp_path, capsys, flag):
     assert not (tmp_path / "rotations_bits8.csv").exists()
 
 
-def test_import_hartsim_loads_no_process_pool_modules():
-    """``import hartsim`` stays cheap: the pool modules load only when a
-    run fans out to worker processes."""
+def test_import_hartsim_loads_no_process_pool_modules(tmp_path):
+    """``import hartsim`` stays cheap, and no run loads a process pool:
+    ``bench --jobs 2`` forks its workers itself."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = ("import sys, hartsim; print([m for m in ('concurrent.futures', "
             "'multiprocessing') if m in sys.modules])")
@@ -562,6 +584,15 @@ def test_import_hartsim_loads_no_process_pool_modules():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    code = ("import os, sys; os.cpu_count = lambda: 2; from hartsim.cli import main; "
+            "main(sys.argv[1:]); print([m for m in ('concurrent.futures', "
+            "'multiprocessing') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code, "bench", "--bits", "8", "--trials", "2",
+                           "--schemes", "linear", "--jobs", "2", "--output-dir", str(tmp_path)],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "bench.csv").exists()
 
 
 def test_readme_library_example_runs(capsys):

@@ -3,10 +3,12 @@ import os
 import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from importlib.util import find_spec
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -321,3 +323,110 @@ def test_trees_too_large_to_build_fail_before_any_allocation(monkeypatch, capsys
                  ["compare-thresholds", "--bits", "40"]):
         assert cli.main(argv + ["--trials", "1"]) == 1, argv
         assert "error" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# the fan-out: forked workers, one strided share each
+# ----------------------------------------------------------------------
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 4])
+def test_map_trials_runs_task_i_in_worker_i_mod_n(monkeypatch, jobs):
+    """Outcomes equal the serial list, in task order; with N workers,
+    task i ran in worker i mod N and never in this process, and no
+    worker outlives the call."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+
+    def fn(task):
+        return harness._histogram_task((63, task, PER_CASE)), os.getpid()
+
+    for count in range(1, 10):
+        tasks = [dataset_seed(0, 8, trial) for trial in range(count)]
+        outcomes = harness._map_trials(fn, tasks, jobs)
+        assert [hist for hist, _ in outcomes] == [fn(task)[0] for task in tasks]
+        pids = [pid for _, pid in outcomes]
+        workers = min(jobs, count)
+        if workers < 2:
+            assert pids == [os.getpid()] * count
+        else:
+            assert os.getpid() not in pids and len(set(pids)) == workers
+            assert pids == [pids[i % workers] for i in range(count)]
+        assert_no_child_left()
+
+
+def test_map_trials_raises_a_workers_exception_as_the_serial_run_does(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+
+    def fn(task):
+        if task == 4:
+            raise ValueError(f"task {task} is bad")
+        return task
+
+    with pytest.raises(ValueError) as serial:
+        harness._map_trials(fn, list(range(7)), 1)
+    with pytest.raises(ValueError) as forked:
+        harness._map_trials(fn, list(range(7)), 3)
+    assert type(forked.value) is type(serial.value)
+    assert str(forked.value) == str(serial.value) == "task 4 is bad"
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("dead", [0, 1, 2])
+def test_a_worker_that_dies_mid_share_is_an_error_not_a_hang(monkeypatch, dead):
+    """Worker ``dead`` of three leaves by ``os._exit(3)`` after one task
+    of its share; the caller gets an error naming that status, and the
+    workers after it, still busy, are stopped and reaped."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+
+    def fn(task):  # worker k runs the tasks with task % 3 == k
+        if task == dead + 3:
+            os._exit(3)
+        if dead < task < 3:  # the first task of each later worker
+            time.sleep(30)
+        return task
+
+    start = perf_counter()
+    with pytest.raises(RuntimeError, match=r"exited with status 3$"):
+        harness._map_trials(fn, list(range(9)), 3)
+    assert perf_counter() - start < 10  # the busy workers were not waited for
+    assert_no_child_left()
+
+
+def test_jobs_without_fork_run_in_process(tmp_path, monkeypatch):
+    argv = ["bench", "--bits", "8", "--trials", "3", "--schemes", "linear,hart"]
+    assert cli.main(argv + ["--output-dir", str(tmp_path / "serial")]) == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.delattr(os, "fork")
+    assert cli.main(argv + ["--jobs", "2", "--output-dir", str(tmp_path / "nofork")]) == 0
+
+    def rows(name):
+        text = (tmp_path / name / "bench.csv").read_text()
+        return [line for line in text.splitlines() if "wall_time_seconds" not in line]
+
+    assert len(rows("serial")) == 1 + 2 * 2  # header, two metrics per cell
+    assert rows("nofork") == rows("serial")
+
+
+def test_workers_flush_nothing_and_run_no_exit_handlers(tmp_path):
+    """Workers leave by ``os._exit``: the thresholds line that this
+    process printed but had not flushed when it forked (its standard
+    output is a pipe, so block-buffered), and the line of its
+    ``atexit`` handler, each appear once."""
+    code = ("import atexit, os, sys; os.cpu_count = lambda: 2; "
+            "atexit.register(print, 'exit handler'); from hartsim.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "compare-thresholds", "--bits", "8", "--trials", "4",
+         "--emit-thresholds", "--jobs", "2", "--output-dir", str(tmp_path)],
+        env={**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+             "PYTHONPATH": str(Path(harness.__file__).parents[1])},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line.startswith("H=")] == lines[:1]
+    assert lines[0].startswith("H=6 ")
+    assert [line for line in lines if line == "exit handler"] == lines[-1:]
