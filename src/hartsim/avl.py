@@ -9,8 +9,8 @@ downstream.  Nodes cache ``balance`` = height(right) - height(left), so
 an insert makes one descent and no climb (Knuth's single-pass insertion).
 
 Levels are 1-based: the root sits at level ``ROOT_LEVEL`` and a node at
-depth ``d`` sits at level ``d + ROOT_LEVEL``.  Positions are integers on
-the insert path: a depth and a heap id (root 1, a child ``2*id + step``).
+depth ``d`` sits at level ``d + ROOT_LEVEL``.  A position is an integer
+heap id (root 1, a child ``2*id + step``); no path of steps is built.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ RIGHT = 1
 #: numbering convention is adjustable in one place.
 ROOT_LEVEL = 1
 
-Path = tuple  # tuple of LEFT/RIGHT steps from the root
 ROOT_SLOT = ("root",)  # slot name of the tree's root pointer
-_DIGIT_STEPS = bytes.maketrans(b"01", bytes((LEFT, RIGHT)))  # heap-id digit -> step
 
 
 class DuplicateKeyError(ValueError):
@@ -51,20 +49,18 @@ class RotationEvent:
     ``kind`` names the imbalance case ("LL", "RR", "LR", "RL"); both
     halves of a double rotation carry the double's kind.  The slot of the
     rotated subtree (old and new subtree root) has level ``pivot_level``
-    and heap id ``pivot_id``; ``pivot_path`` is derived from the two.
-    ``rewired`` lists the pointer slots that link a different node, as
-    ``(slot, old_child, new_child)``: the slot above the subtree, then
-    the sub-root's and the pivot's inner fields unless the subtree
-    moving between them is empty.  A slot is ``(owner_node, side)``, or
-    :data:`ROOT_SLOT` for the tree's root pointer.
+    and heap id ``pivot_id``.  ``rewired`` lists the slots that link a
+    different node, as ``(slot, old_child, new_child)``: the slot above
+    the subtree, then the sub-root's and the pivot's inner fields unless
+    the subtree moving between them is empty.  A slot is ``(owner_node,
+    side)``, or :data:`ROOT_SLOT` for the tree's root pointer.
 
     ``pivot`` is the node hoisted into the slot; the subtree under it is
     exactly the set of nodes whose root path changed.  ``moved`` lists
-    them as ``(node, old_path, new_path)`` tuples in preorder of that
-    subtree, and ``len(event)`` is their number.  The list is walked on
-    first read, and cached, from ``walk``: the tree and its size at the
-    rotation, the pivot, the sub-root, the direction and the regions A,
-    B and C.  The walk reads only the pivot, the sub-root and the
+    these nodes in preorder of that subtree, and ``len(event)`` is their
+    number.  The list is walked on first read, and cached, from ``walk``:
+    the tree and its size at the rotation, the pivot, the sub-root, the
+    direction and the regions A, B and C.  The walk reads only the
     regions' insides, which nothing changes before the next insert into
     the tree (the second half of a double relinks only its own sub-root,
     pivot and slot above).  So ``moved`` is defined until that insert; a
@@ -83,11 +79,6 @@ class RotationEvent:
         self._moved = None
 
     @property
-    def pivot_path(self) -> Path:
-        """The binary digits of ``pivot_id`` after its leading 1, as steps."""
-        return tuple(format(self.pivot_id, "b")[1:].encode().translate(_DIGIT_STEPS))
-
-    @property
     def pivot(self) -> Node:
         return self._walk[2]
 
@@ -104,32 +95,18 @@ class RotationEvent:
                 "RotationEvent.moved first read after a later insert into "
                 "its tree; it is defined only until the next insert"
             )
-        # One preorder walk of the new subtree.  Each region's old path
-        # follows from where it came from: the pivot and the sub-root z
-        # trade places, A (z's outer subtree) gains a step, B (the inner
-        # subtree) swaps one and C (the pivot's outer subtree) loses one.
-        path = self.pivot_path
-        hoist = RIGHT if direction == LEFT else LEFT
-        up, down = path + (hoist,), path + (direction,)
-        z = (sub_root, path, down)
-        a = (outer, down, down + (direction,))
-        b = (inner, up + (direction,), down + (hoist,))
-        c = (far, up + (hoist,), up)
-        # Stack top last: the new preorder is pivot, z, A, B, C after a
-        # LEFT rotation and pivot, C, z, B, A after a RIGHT one.
-        stack = [c, b, a, z] if direction == LEFT else [a, b, z, c]
-        moved = [(pivot, up, path)]
+        # Preorder with the stack top last: pivot, z (the sub-root), A, B,
+        # C after a LEFT rotation and pivot, C, z, B, A after a RIGHT one;
+        # z is listed alone, as its subtrees A and B are regions.
+        stack = ([far, inner, outer, sub_root] if direction == LEFT
+                 else [outer, inner, sub_root, far])
+        moved = [pivot]
         while stack:
-            item = stack.pop()
-            n, old, new = item
-            if n is None:
-                continue
-            moved.append(item)
-            if n is not sub_root:  # z's subtrees are regions of their own
-                if n.right is not None:
-                    stack.append((n.right, old + (RIGHT,), new + (RIGHT,)))
-                if n.left is not None:
-                    stack.append((n.left, old + (LEFT,), new + (LEFT,)))
+            n = stack.pop()
+            if n is not None:
+                moved.append(n)
+                if n is not sub_root:
+                    stack += (n.right, n.left)
         self._moved = moved
         return moved
 
@@ -211,33 +188,31 @@ class AvlTree:
         crit.balance = balance
         events: list = []
         if balance > 1 or balance < -1:
-            # crit_id's last binary digit is the side crit hangs from.
-            self._rebalance(
-                crit, balance, crit_id.bit_length() - 1 + ROOT_LEVEL, crit_id,
-                crit_parent, crit_id & 1, events, before_rotation, on_rotation,
-            )
+            self._rebalance(crit, balance, crit_id, crit_parent, events,
+                            before_rotation, on_rotation)
         return events
 
-    def _rebalance(self, z, balance, level, z_id, attach_parent, attach_side,
-                   events, before_rotation, on_rotation):
+    def _rebalance(self, z, balance, z_id, attach_parent, events,
+                   before_rotation, on_rotation):
         heavy = RIGHT if balance > 0 else LEFT
         y = z.right if heavy == RIGHT else z.left
         if y.balance < 0 if heavy == RIGHT else y.balance > 0:
             # RL (LR): rotate the child toward the heavy side, then z away.
             kind = "RL" if heavy == RIGHT else "LR"
-            self._rotate(y, heavy, level + 1, 2 * z_id + heavy, z, heavy,
-                         kind, events, before_rotation, on_rotation)
+            self._rotate(y, heavy, 2 * z_id + heavy, z, kind, events,
+                         before_rotation, on_rotation)
         else:
             kind = "RR" if heavy == RIGHT else "LL"
-        self._rotate(z, 1 - heavy, level, z_id, attach_parent, attach_side,
-                     kind, events, before_rotation, on_rotation)
+        self._rotate(z, 1 - heavy, z_id, attach_parent, kind, events,
+                     before_rotation, on_rotation)
 
-    def _rotate(self, sub_root, direction, level, heap_id, attach_parent,
-                attach_side, kind, events, before_rotation, on_rotation):
+    def _rotate(self, sub_root, direction, heap_id, attach_parent, kind, events,
+                before_rotation, on_rotation):
         """Perform one single rotation at ``sub_root`` and emit its event.
 
         ``direction`` is the rotation direction: LEFT hoists the right
-        child, RIGHT hoists the left child.
+        child, RIGHT hoists the left child.  ``sub_root`` has heap id
+        ``heap_id`` and hangs from ``attach_parent``, None at the root.
         """
         if before_rotation is not None:
             before_rotation(sub_root, kind)
@@ -261,19 +236,18 @@ class AvlTree:
         sub_root.balance, pivot.balance = a, b
 
         if attach_parent is None:
-            self.root = pivot
-        elif attach_side == LEFT:
-            attach_parent.left = pivot
+            self.root, above = pivot, ROOT_SLOT
+        elif heap_id & 1:  # a heap id's last binary digit is its side
+            attach_parent.right, above = pivot, (attach_parent, RIGHT)
         else:
-            attach_parent.right = pivot
-        above = ROOT_SLOT if attach_parent is None else (attach_parent, attach_side)
+            attach_parent.left, above = pivot, (attach_parent, LEFT)
         rewired = [(above, sub_root, pivot)]
         if inner is not None:
             rewired += [((sub_root, hoist), pivot, inner),
                         ((pivot, direction), inner, sub_root)]
 
         event = RotationEvent(
-            kind, level, heap_id, rewired,
+            kind, heap_id.bit_length() - 1 + ROOT_LEVEL, heap_id, rewired,
             (self, self.size, pivot, sub_root, direction, outer, inner, far),
         )
         events.append(event)

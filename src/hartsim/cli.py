@@ -337,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_t = subs.add_parser(
         "compare-thresholds", help="hybrid scheme at several threshold ratios"
     )
-    cmp_t.add_argument("--nodes", type=int)
-    cmp_t.add_argument("--bits")
+    size = cmp_t.add_mutually_exclusive_group()
+    size.add_argument("--nodes", type=int)
+    size.add_argument("--bits")
     cmp_t.add_argument("--ratios", help="comma list, e.g. 0.25,0.5,0.75 or 1/4,1/2")
     cmp_t.add_argument(
         "--emit-thresholds", action="store_true",
@@ -356,8 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     dump = subs.add_parser(
         "assign-dump", help="per-node address assignment of one small tree"
     )
-    dump.add_argument("--nodes", type=int)
-    dump.add_argument("--bits")
+    size = dump.add_mutually_exclusive_group()
+    size.add_argument("--nodes", type=int)
+    size.add_argument("--bits")
     dump.add_argument("--scheme", default="hart", choices=[k.value for k in SchemeKind])
     dump.add_argument("--ratio", default="0.5")
     dump.add_argument("--width", type=positive_int, help="override the pointer width")

@@ -5,8 +5,9 @@ ranks come from an explicit traversal of the complete tree, flip totals
 come from full before/after snapshots of every stored word,
 ``avl_defect`` checks a tree's key order and cached balance factors
 against heights it recomputes in one walk, ``binary_to_gray`` and
-``gray_to_binary`` encode and invert a Gray code, and ``heap_id_of``
-builds a path's heap id one step at a time.
+``gray_to_binary`` encode and invert a Gray code, ``heap_id_of``
+builds a path's heap id one step at a time, and ``path_of`` reads a
+path back off a heap id's binary digits.
 """
 
 import math
@@ -61,6 +62,12 @@ def heap_id_of(path):
     for step in path:
         heap_id = 2 * heap_id + (step == RIGHT)
     return heap_id
+
+
+def path_of(heap_id):
+    """The path of LEFT/RIGHT steps to a heap id: its binary digits
+    after the leading 1, a 1 being a RIGHT step."""
+    return tuple(RIGHT if digit == "1" else LEFT for digit in bin(heap_id)[3:])
 
 
 def full_snapshot(runner, acct):

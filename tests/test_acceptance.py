@@ -10,12 +10,12 @@ fixtures; everything is seeded, so reruns reproduce identical numbers.
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 from conftest import address_map, avl_defect, binary_to_gray, gray_to_binary, tree_height
+from hartsim import harness
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import (
     SchemeConfig,
@@ -118,8 +118,7 @@ def _avl_integrity_trial(seed):
 
 
 def test_criterion_3_avl_integrity():
-    with ProcessPoolExecutor(max_workers=JOBS) as pool:
-        problems = [p for p in pool.map(_avl_integrity_trial, range(50)) if p]
+    problems = [p for p in harness._map_trials(_avl_integrity_trial, list(range(50)), JOBS) if p]
     ok = not problems
     assert report(
         3,

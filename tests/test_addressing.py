@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binary_to_gray, brute_force_dfat_ranks, gray_to_binary, heap_id_of
+from conftest import binary_to_gray, brute_force_dfat_ranks, gray_to_binary, heap_id_of, path_of
 from hartsim.addressing import (
     AddressSpace,
     CapacityError,
@@ -95,10 +95,6 @@ def _dfat_loop(path, capacity):
                for i, step in enumerate(path))
 
 
-def _path_of_heap_id(heap_id):
-    return tuple(RIGHT if bit == "1" else LEFT for bit in bin(heap_id)[3:])
-
-
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(path=st.integers(0, 80).flatmap(  # every depth up to 80 equally often
            lambda n: st.lists(st.sampled_from((LEFT, RIGHT)), min_size=n, max_size=n)
@@ -112,7 +108,7 @@ def test_dfat_closed_form_matches_the_step_loop(path, extra, level):
     depth = len(path)
     heap_ids = [heap_id_of(path)] + [(1 << depth) | (bits & ((1 << depth) - 1))
                                      for bits in level]
-    paths = [_path_of_heap_id(heap_id) for heap_id in heap_ids]
+    paths = [path_of(heap_id) for heap_id in heap_ids]
     assert paths[0] == path
     # each position alone (the scalar form) and the level as one call
     dfat = [_dfat_loop(p, capacity) for p in paths]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import avl_defect, build_tree, heap_id_of, tree_height
+from conftest import avl_defect, build_tree, heap_id_of, path_of, tree_height
 from hartsim.avl import (
     LEFT,
     RIGHT,
@@ -18,15 +18,20 @@ from hartsim.harness import gen_dataset
 
 
 def test_ascending_insert_emits_one_rr_at_root():
-    tree, events = build_tree([1, 2, 3])
+    tree, events = build_tree([1, 2])
+    assert events == []
+    snapshots = []
+    events = tree.insert(3, before_rotation=lambda *_: snapshots.append(_paths(tree)))
     assert [(e.kind, e.pivot_level) for e in events] == [("RR", 1)]
     assert tree.root.key == 2
     assert tree.root.left.key == 1
     assert tree.root.right.key == 3
     # every node of the rotated subtree moved
     (event,) = events
+    (old_paths,) = snapshots
+    new_paths = _paths(tree)
     assert len(event.moved) == 3
-    assert all(old != new for _, old, new in event.moved)
+    assert all(old_paths[node] != new_paths[node] for node in event.moved)
 
 
 def test_balanced_insert_never_rotates():
@@ -88,23 +93,34 @@ def test_validate_reports_imbalance():
 
 def test_moved_nodes_stay_under_pivot_slot():
     tree = AvlTree()
+    state = {}
+
+    def before(sub_root, kind):
+        state["paths"] = _paths(tree)
 
     def check(event):
         # runs right after each single rotation, before the next one
-        prefix = event.pivot_path
+        prefix = path_of(event.pivot_id)
         depth = len(prefix)
+        old_paths, new_paths = state["paths"], _paths(tree)
         assert event.moved, "rotation with empty moved set"
-        for _, old, new in event.moved:
+        for node in event.moved:
+            old, new = old_paths[node], new_paths[node]
             assert old[:depth] == prefix
             assert new[:depth] == prefix
             assert old != new
         # the moved set is exactly the rearranged subtree
         subtree = _node_at(tree, prefix)
         assert len(event.moved) == len(list(_iter_subtree(subtree)))
-        assert {n for n, _, _ in event.moved} == set(_iter_subtree(subtree))
+        assert set(event.moved) == set(_iter_subtree(subtree))
 
     for key in gen_dataset(200, 5):
-        tree.insert(key, on_rotation=check)
+        tree.insert(key, before_rotation=before, on_rotation=check)
+
+
+def _paths(tree):
+    """{node: path from the root} for every node of the tree."""
+    return dict(tree.nodes_with_paths())
 
 
 def _node_at(tree, path):
@@ -121,30 +137,31 @@ def _slots(tree):
 
 
 def test_moved_set_and_rewired_slots_match_tree_snapshots():
-    """Whole-tree snapshots around every single rotation: ``moved`` is
-    exactly the rearranged subtree under ``pivot``, with its paths before
-    and after, in the preorder ``nodes_with_paths`` gives; ``rewired`` is
-    exactly the set of slots whose non-None child changed.  Positions
-    reported as integers match the paths: ``on_attach`` gets the new
-    leaf's depth and heap id, and ``pivot_path`` follows from
-    ``pivot_level`` and ``pivot_id``."""
+    """Whole-tree snapshots around every single rotation: the nodes whose
+    root path changed are exactly ``moved``, the rearranged subtree under
+    ``pivot`` in the preorder ``nodes_with_paths`` gives, each at its
+    snapshot paths before and after; ``rewired`` is exactly the set of
+    slots whose non-None child changed.  Positions reported as integers
+    match the paths: ``on_attach`` gets the new leaf's depth and heap id,
+    and ``pivot_level`` and ``pivot_id`` give the slot's path, which
+    held the sub-root before and holds the pivot after."""
     state = {}
     seen = {"LEFT": 0, "RIGHT": 0, "one slot": 0, "three slots": 0, "attached": 0}
 
     def attach(node, depth, heap_id):
         # the leaf is linked and no rotation has run yet
-        path = dict(tree.nodes_with_paths())[node]
+        path = _paths(tree)[node]
         assert (depth, heap_id) == (len(path), heap_id_of(path))
         seen["attached"] += 1
 
     def before(sub_root, kind):
-        state["paths"] = dict(tree.nodes_with_paths())
+        state["paths"] = _paths(tree)
         state["slots"] = _slots(tree)
 
     def after(event):
         old_paths = state["paths"]
-        new_paths = dict(tree.nodes_with_paths())
-        prefix = event.pivot_path
+        new_paths = _paths(tree)
+        prefix = path_of(event.pivot_id)
         assert len(prefix) == event.pivot_level - ROOT_LEVEL
         assert heap_id_of(prefix) == event.pivot_id
         expected = [
@@ -153,9 +170,9 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
             if path[:len(prefix)] == prefix
         ]
         assert event.pivot is _node_at(tree, prefix)
-        assert event.moved == expected
+        assert [(node, old_paths[node], new_paths[node]) for node in event.moved] == expected
         changed = {n for n, path in new_paths.items() if old_paths[n] != path}
-        assert changed == {node for node, _, _ in event.moved}
+        assert changed == set(event.moved)
 
         old_slots, new_slots = state["slots"], _slots(tree)
         rewired = {
@@ -167,8 +184,8 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
         }
         assert len(event.rewired) == len(rewired)
         assert set(event.rewired) == rewired
-        pivot = event.moved[0][0]
-        sub_root = next(n for n, old, _ in event.moved if old == prefix)
+        pivot = event.moved[0]
+        sub_root = next(n for n in event.moved if old_paths[n] == prefix)
         seen["LEFT" if pivot.left is sub_root else "RIGHT"] += 1
         seen["one slot" if len(rewired) == 1 else "three slots"] += 1
 
@@ -182,7 +199,7 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
 
 
 def _moved_keys(event):
-    return [(node.key, old, new) for node, old, new in event.moved]
+    return [node.key for node in event.moved]
 
 
 def test_moved_read_after_insert_matches_read_at_rotation():

@@ -12,6 +12,7 @@ import pytest
 from hartsim import harness
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import MAX_POINTER_WIDTH, SchemeConfig, SchemeKind
+from hartsim.avl import AvlTree
 from hartsim.cli import main, parse_bits, parse_ratio, parse_schemes
 
 #: Metrics whose values are timing-dependent and therefore excluded
@@ -304,6 +305,20 @@ def test_compare_thresholds_needs_size(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compare-thresholds", "assign-dump"])
+def test_nodes_and_bits_together_are_a_usage_error(tmp_path, capsys, command):
+    argv = [command, "--nodes", "63", "--bits", "12"]
+    if command == "compare-thresholds":
+        argv += ["--trials", "1", "--output-dir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert "argument --bits: not allowed with argument --nodes" in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_rotations_series(tmp_path):
     code = main([
         "rotations", "--bits", "8,9", "--trials", "2", "--seed", "7",
@@ -502,24 +517,54 @@ def test_rotations_runs_every_width_through_one_pool(tmp_path, monkeypatch):
             tmp_path / "serial" / name).read_text()
 
 
-def _visited_nodes_untraced(mode, width, seed):
-    """What ``addressing.visited_nodes`` should count for one trial of
-    every scheme: a full pass visits the whole tree at every rotation,
-    the incremental sweep a positional scheme's moved set."""
-    visited = []
+def _subtree_size(node):
+    size, stack = 0, [node]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            size += 1
+            stack += (node.left, node.right)
+    return size
+
+
+def _counts_untraced(argv, width, seed):
+    """What ``avl.moved_nodes`` and ``addressing.visited_nodes`` should
+    count for a ``bench`` or ``rotations`` command line at one width,
+    from the pivot's subtree walked in a hook while it is current: each
+    rotation moves that subtree, a full pass visits the whole tree at
+    every rotation, the incremental sweep a positional scheme's moved
+    subtree.  Nothing reads ``event.moved``."""
+    moved, visited = [], []
+    trials = range(int(argv[argv.index("--trials") + 1]))
+    if argv[0] == "rotations":
+        for trial in trials:
+            tree = AvlTree()
+            for key in harness.gen_dataset(harness.nodes_for_width(width),
+                                           harness.dataset_seed(seed, width, trial)):
+                tree.insert(key, on_rotation=lambda event: moved.append(
+                    _subtree_size(event.pivot)))
+        return sum(moved), 0
+    mode = argv[argv.index("--mode") + 1]
     for spec in parse_schemes("all", parse_ratio("0.5")):
         ratio = spec.threshold_ratio
-        scheme = SchemeConfig(spec.kind, width, ratio,
-                              seed=harness.scheme_seed(seed, width, spec.tag, ratio, 0))
-        runner = harness.TrialRunner(scheme, AccountingConfig(), mode,
-                                     num_nodes=harness.nodes_for_width(width))
-        if mode == harness.FULL_PASS:
-            runner.after_rotation_hook = lambda *_: visited.append(len(runner.tree))
-        elif not runner.assigner.identity_bound:
-            runner.after_rotation_hook = lambda event, *_: visited.append(len(event.moved))
-        runner.run(harness.gen_dataset(harness.nodes_for_width(width),
-                                       harness.dataset_seed(seed, width, 0)))
-    return sum(visited)
+        for trial in trials:
+            scheme = SchemeConfig(spec.kind, width, ratio, seed=harness.scheme_seed(
+                seed, width, spec.tag, ratio, trial))
+            runner = harness.TrialRunner(scheme, AccountingConfig(), mode,
+                                         num_nodes=harness.nodes_for_width(width))
+
+            def hook(event, *_, tree=runner.tree,
+                     sweeps=not runner.assigner.identity_bound):
+                moved.append(_subtree_size(event.pivot))
+                if mode == harness.FULL_PASS:
+                    visited.append(len(tree))
+                elif sweeps:
+                    visited.append(moved[-1])
+
+            runner.after_rotation_hook = hook
+            runner.run(harness.gen_dataset(harness.nodes_for_width(width),
+                                           harness.dataset_seed(seed, width, trial)))
+    return sum(moved), sum(visited)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -531,9 +576,9 @@ def _visited_nodes_untraced(mode, width, seed):
 def test_traced_command_line_finds_every_name_it_wraps(tmp_path, argv, trials, jobs):
     """The perfbench tracer wraps hartsim functions by name; a run under
     it fails if one of those names is gone, every trial is counted once
-    whether it ran in this process or in a pool worker that dumps per
-    task, and the nodes it counts as visited are the ones each mode's
-    sweep walks."""
+    whether it ran in this process or in a forked worker that dumps per
+    task, and the nodes it counts as moved and as visited are the pivot
+    subtrees the rotations move and the ones each mode's sweep walks."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(tmp_path),
@@ -548,8 +593,10 @@ def test_traced_command_line_finds_every_name_it_wraps(tmp_path, argv, trials, j
     total = tracing.collect(tracing.read_dir(tmp_path))
     assert total["counts"]["harness.trials"] == trials
     assert total["self_s"]["report.write"] > 0
+    moved, visited = _counts_untraced(argv, 8, 0)
+    assert moved > 0
+    assert total["counts"]["avl.moved_nodes"] == moved
     if argv[0] == "bench":
-        visited = _visited_nodes_untraced(argv[-1], 8, 0)
         assert visited > 0
         assert total["counts"]["addressing.visited_nodes"] == visited
 
