@@ -4,7 +4,7 @@ A write is modeled at word granularity: rewriting a stored address word
 costs the Hamming distance between the old and the new word.  Two write
 categories exist:
 
-* pointer rewrites -- child-pointer fields (and the root slot) that now
+* pointer rewrites -- child-pointer fields (and the root pointer) that now
   link a *different* node, costed as the distance between the old and
   new stored words.  These are the writes a rotation intrinsically
   performs.  Fields that merely gain or lose a child are structural and
@@ -28,8 +28,8 @@ from .avl import RotationEvent
 class WordWrite:
     """One word rewrite handed to a rotation hook; never a no-op.
 
-    ``location`` is (owner_node, side) for a pointer field, ROOT_SLOT
-    for the root pointer, or ("label", node) for a node relabel.
+    ``location`` is ("link", node) for the pointer field (or the root
+    pointer) that now links ``node``, or ("label", node) for a relabel.
     """
 
     __slots__ = ("location", "old", "new")

@@ -318,9 +318,9 @@ class AddressAssigner:
         subtree under ``event.pivot``, walked in left-first preorder from
         ``event.pivot_id`` with each node's depth and heap id (a child's
         is 2*id + step).  Each node below the linear region and within
-        the rank capacity is ranked from its heap id by the scheme's rank
-        function, as on insert, and adds one to :attr:`indexed_nodes`.
-        Returns (node, old_addr, new_addr) relabels."""
+        the rank capacity is ranked from its heap id as on insert (one
+        :attr:`indexed_nodes` each); every heap id changed, so no spare
+        binding is kept.  Returns (node, old_addr, new_addr) relabels."""
         if self.identity_bound:
             return []
         records = self.records
@@ -357,8 +357,6 @@ class AddressAssigner:
             elif rec.addr == target:
                 rec.source = SOURCE_POSITIONAL
                 continue
-            elif rec.source == SOURCE_SPARE and rec.bound_pos == heap_id:
-                continue  # spare binding is still for this position
             release(rec.addr)
             append((node, heap_id, rec, target, depth))
         self.indexed_nodes += indexed
@@ -371,8 +369,8 @@ class AddressAssigner:
         positional, where one call of the scheme's rank function ranks
         the whole level from scratch from its heap ids (each adds one to
         :attr:`indexed_nodes`).  Nodes are kept, released and claimed by
-        the rules of :meth:`rebind_moved`, and claimed in its preorder,
-        so on a consistent tree both modes give the same relabels.
+        :meth:`rebind_moved`'s rules and in its preorder; a node that did
+        not move also keeps its spare binding, so both modes agree.
         """
         if self.identity_bound or tree.root is None:
             return []
@@ -412,7 +410,7 @@ class AddressAssigner:
                     rec.source = SOURCE_POSITIONAL
                     continue
                 elif rec.source == SOURCE_SPARE and rec.bound_pos == heap_id:
-                    continue
+                    continue  # spare binding is still for this position
                 release(rec.addr)
                 append((node, heap_id, rec, target, depth))
             nodes, heap_ids = below, below_ids

@@ -1,10 +1,10 @@
 """Instrumented AVL tree.
 
 Insertion behaves like a textbook AVL tree, but every single rotation is
-reported as a :class:`RotationEvent` carrying the set of nodes whose
-root path changed and the pointer slots it rewired.  A double rotation
-(LR / RL) is decomposed into two single rotations and therefore emits
-two events; this is the counting convention used by every statistic
+reported as a :class:`RotationEvent` carrying the nodes whose root path
+changed and the pointer fields it rewired, named by the nodes they link.
+A double rotation (LR / RL) is decomposed into two single rotations, so
+it emits two events: the counting convention of every statistic
 downstream.  Nodes cache ``balance`` = height(right) - height(left), so
 an insert makes one descent and no climb (Knuth's single-pass insertion).
 
@@ -23,8 +23,6 @@ RIGHT = 1
 #: Level assigned to the root node.  Kept as a module constant so the
 #: numbering convention is adjustable in one place.
 ROOT_LEVEL = 1
-
-ROOT_SLOT = ("root",)  # slot name of the tree's root pointer
 
 
 class DuplicateKeyError(ValueError):
@@ -49,11 +47,11 @@ class RotationEvent:
     ``kind`` names the imbalance case ("LL", "RR", "LR", "RL"); both
     halves of a double rotation carry the double's kind.  The slot of the
     rotated subtree (old and new subtree root) has level ``pivot_level``
-    and heap id ``pivot_id``.  ``rewired`` lists the slots that link a
-    different node, as ``(slot, old_child, new_child)``: the slot above
-    the subtree, then the sub-root's and the pivot's inner fields unless
-    the subtree moving between them is empty.  A slot is ``(owner_node,
-    side)``, or :data:`ROOT_SLOT` for the tree's root pointer.
+    and heap id ``pivot_id``.  ``rewired`` lists each pointer field that
+    links a different node as ``(old_child, new_child)``, the new child
+    naming the one field that links it: the field above the subtree (the
+    root pointer at the root), then the sub-root's and the pivot's inner
+    fields unless the subtree moving between them is empty.
 
     ``pivot`` is the node hoisted into the slot; the subtree under it is
     exactly the set of nodes whose root path changed.  ``moved`` lists
@@ -67,20 +65,26 @@ class RotationEvent:
     first read after it raises :class:`RuntimeError`.
     """
 
-    __slots__ = ("kind", "pivot_level", "pivot_id", "rewired", "_walk", "_moved")
+    __slots__ = ("kind", "pivot_level", "pivot_id", "_walk", "_moved")
 
     def __init__(self, kind: str, pivot_level: int, pivot_id: int,
-                 rewired: list, walk: Optional[tuple]):
+                 walk: Optional[tuple]):
         self.kind = kind
         self.pivot_level = pivot_level
         self.pivot_id = pivot_id
-        self.rewired = rewired
         self._walk = walk
         self._moved = None
 
     @property
     def pivot(self) -> Node:
         return self._walk[2]
+
+    @property
+    def rewired(self) -> list:
+        _, _, pivot, sub_root, _, _, inner, _ = self._walk
+        if inner is None:
+            return [(sub_root, pivot)]
+        return [(sub_root, pivot), (pivot, inner), (inner, sub_root)]
 
     def __len__(self) -> int:
         return len(self.moved)
@@ -220,14 +224,14 @@ class AvlTree:
         # Balances follow the single-rotation rules: a is the sub-root's
         # and b the pivot's, each updated from the values before.
         if direction == LEFT:
-            hoist, pivot = RIGHT, sub_root.right
+            pivot = sub_root.right
             outer, inner, far = sub_root.left, pivot.left, pivot.right
             sub_root.right, pivot.left = inner, sub_root
             b = pivot.balance
             a = sub_root.balance - 1 - (b if b > 0 else 0)
             b += (a if a < 0 else 0) - 1
         else:
-            hoist, pivot = LEFT, sub_root.left
+            pivot = sub_root.left
             outer, inner, far = sub_root.right, pivot.right, pivot.left
             sub_root.left, pivot.right = inner, sub_root
             b = pivot.balance
@@ -236,18 +240,14 @@ class AvlTree:
         sub_root.balance, pivot.balance = a, b
 
         if attach_parent is None:
-            self.root, above = pivot, ROOT_SLOT
+            self.root = pivot
         elif heap_id & 1:  # a heap id's last binary digit is its side
-            attach_parent.right, above = pivot, (attach_parent, RIGHT)
+            attach_parent.right = pivot
         else:
-            attach_parent.left, above = pivot, (attach_parent, LEFT)
-        rewired = [(above, sub_root, pivot)]
-        if inner is not None:
-            rewired += [((sub_root, hoist), pivot, inner),
-                        ((pivot, direction), inner, sub_root)]
+            attach_parent.left = pivot
 
         event = RotationEvent(
-            kind, heap_id.bit_length() - 1 + ROOT_LEVEL, heap_id, rewired,
+            kind, heap_id.bit_length() - 1 + ROOT_LEVEL, heap_id,
             (self, self.size, pivot, sub_root, direction, outer, inner, far),
         )
         events.append(event)

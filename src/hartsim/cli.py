@@ -76,15 +76,16 @@ def parse_bits(text: str) -> list:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "-" in chunk:
-            lo_text, hi_text = chunk.split("-", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValueError(f"empty width range {chunk!r}")
-            nodes_for_width(hi)  # a range past the widest tree fails unlisted
-            widths.extend(range(lo, hi + 1))
-        else:
-            widths.append(int(chunk))
+        bounds = chunk.split("-", 1)
+        try:
+            lo, hi = int(bounds[0]), int(bounds[-1])
+        except ValueError:
+            raise ValueError(f"--bits part {chunk!r} is not a width or a range a-b") from None
+        if hi < lo:
+            raise ValueError(f"empty width range {chunk!r}")
+        for width in (lo, hi):  # a width with no tree fails before a range is listed
+            nodes_for_width(width)
+        widths.extend(range(lo, hi + 1))
     return _distinct(widths, "width")
 
 
@@ -118,10 +119,13 @@ def parse_ratio(text: str) -> Fraction:
 
 def parse_schemes(text: str, ratio: Fraction) -> list:
     """Expand a scheme list; 'all' means the five benchmark schemes."""
-    if text.strip() == "all":
-        tags = [kind.value for kind in SchemeKind]
-    else:
-        tags = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
+    names = [kind.value for kind in SchemeKind]
+    tags = [chunk.strip() for chunk in text.split(",") if chunk.strip()]
+    if tags == ["all"]:
+        tags = names
+    for tag in tags:
+        if tag not in names:
+            raise ValueError(f"unknown scheme {tag!r}: use {', '.join(names)}, or all alone")
     return [SchemeSpec(kind, ratio if kind is SchemeKind.HART else None)
             for kind in map(SchemeKind, _distinct(tags, "scheme"))]
 
@@ -221,8 +225,6 @@ def cmd_compare_thresholds(args) -> int:
 
 def cmd_rotations(args) -> int:
     widths = parse_bits(args.bits)
-    for width in widths:
-        nodes_for_width(width)  # a width with no tree fails before any file is made
     paths = _output_paths(args, *(f"rotations_bits{width}" for width in widths))
     hists = rotations_histograms(
         widths,
@@ -259,9 +261,9 @@ def cmd_assign_dump(args) -> int:
             f"assign-dump handles 1..{ASSIGN_DUMP_LIMIT} nodes, got {num_nodes}"
         )
     kind = SchemeKind(args.scheme)
-    ratio = parse_ratio(args.ratio) if kind is SchemeKind.HART else None
+    ratio = parse_ratio(args.ratio)  # checked for every scheme, as bench does
     width = num_nodes.bit_length() + 2 if args.width is None else args.width
-    scheme = SchemeConfig(kind, width, ratio, seed=args.seed)
+    scheme = SchemeConfig(kind, width, ratio if kind is SchemeKind.HART else None, seed=args.seed)
     assigner = AddressAssigner(scheme, num_nodes)
     # The balanced tree is floor(log2 n) deep: below the width whenever
     # its n nodes fit the 2**width - 1 addresses (otherwise CapacityError
@@ -287,7 +289,7 @@ def cmd_assign_dump(args) -> int:
         write_series_csv(sys.stdout, header, rows)
     else:
         print(f"scheme={kind.value}"
-              + (f" ratio={ratio}" if ratio is not None else "")
+              + (f" ratio={ratio}" if kind is SchemeKind.HART else "")
               + f" width={width} nodes={num_nodes}")
         print(f"{'key':>6} {'level':>5} {'region':<11} {'dfat_rank':>9} address")
         for key, level, region, rank, address in rows:

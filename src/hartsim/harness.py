@@ -71,17 +71,17 @@ MAX_NODES = (1 << 22) - 1
 
 def check_tree_size(num_nodes: int) -> int:
     """``num_nodes`` if one trial can build a tree that large."""
-    if not 1 <= num_nodes <= MAX_NODES:
-        raise ValueError(f"{num_nodes} nodes outside [1, {MAX_NODES}]: "
-                         "a larger tree does not fit in memory")
+    if not 1 <= num_nodes <= MAX_NODES:  # memory bounds only the top
+        raise ValueError(f"{num_nodes} nodes outside [1, {MAX_NODES}]"
+                         + (": a larger tree does not fit in memory" if num_nodes > 1 else ""))
     return num_nodes
 
 
 def nodes_for_width(width: int) -> int:
     """Node count paired with a pointer width: 2**(width-2) - 1."""
     if not 3 <= width <= MAX_NODES.bit_length() + 2:
-        raise ValueError(f"width {width} outside [3, {MAX_NODES.bit_length() + 2}]: "
-                         "a wider tree does not fit in memory")
+        raise ValueError(f"width {width} outside [3, {MAX_NODES.bit_length() + 2}]"
+                         + (": a wider tree does not fit in memory" if width > 3 else ""))
     return (1 << (width - 2)) - 1
 
 
@@ -186,22 +186,22 @@ class TrialRunner:
         records = self.assigner.records
         hook = self.after_rotation_hook
         acct = self.accounting
-        # Old slot words are read only if pointer rewrites count or a hook looks.
+        # Old field words are read only if pointer rewrites count or a hook looks.
         count_pointers = acct.count_pointer_rewrites
         rewired = event.rewired if count_pointers or hook is not None else ()
-        old_words = [records[old].addr for _, old, _ in rewired]
+        old_words = [records[old].addr for old, _ in rewired]
         if self.reassign_mode == FULL_PASS:
             relabels = self.assigner.full_pass(self.tree)
         elif self.assigner.identity_bound:
             relabels = ()  # no moved set to walk: nothing is re-addressed
         else:
             relabels = self.assigner.rebind_moved(event)
-        # A pointer rewrite is a slot that now links a *different* node (a
-        # rewired one).  Slots that keep their child but see its address
+        # A pointer rewrite is a field that now links a *different* node (a
+        # rewired one).  Fields that keep their child but see its address
         # change are relabel propagation, charged as relabels.
         pointer_flips = relabel_flips = 0
         if count_pointers:
-            for (_, _, new), old_word in zip(rewired, old_words):
+            for (_, new), old_word in zip(rewired, old_words):
                 pointer_flips += (old_word ^ records[new].addr).bit_count()
         if acct.count_node_relabels:
             for _, old, new in relabels:
@@ -219,8 +219,8 @@ class TrialRunner:
         self.addressing_seconds += perf_counter() - t0
         if hook is not None:  # the writes themselves, outside the timed span
             rewrites = [
-                WordWrite(slot, old_word, records[new].addr)
-                for (slot, _, new), old_word in zip(rewired, old_words)
+                WordWrite(("link", new), old_word, records[new].addr)
+                for (_, new), old_word in zip(rewired, old_words)
                 if records[new].addr != old_word
             ]
             hook(event, [WordWrite(("label", node), old, new)

@@ -19,7 +19,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hartsim.avl import LEFT, RIGHT, ROOT_SLOT, AvlTree  # noqa: E402
+from hartsim.avl import LEFT, RIGHT, AvlTree  # noqa: E402
+
+ROOT_KEY = ("root",)  # snapshot key of the tree's root pointer
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -71,7 +73,9 @@ def path_of(heap_id):
 
 
 def full_snapshot(runner, acct):
-    """Every stored word in the tree, keyed by slot.
+    """Every stored word in the tree, keyed by slot: (owner, side) for
+    a child pointer, :data:`ROOT_KEY` for the root pointer, ("label",
+    node) for a node's address.
 
     Pointer slots record (child identity, stored word) so the diff can
     distinguish structural rewrites from relabel propagation; label
@@ -89,7 +93,7 @@ def full_snapshot(runner, acct):
         if acct.count_node_relabels:
             words[("label", node)] = (node, records[node].addr)
     if entries and acct.count_pointer_rewrites:
-        words[ROOT_SLOT] = (runner.tree.root, records[runner.tree.root].addr)
+        words[ROOT_KEY] = (runner.tree.root, records[runner.tree.root].addr)
     return words
 
 

@@ -74,7 +74,7 @@ def test_relabel_accounting_of_three_node_fixture():
 
 
 def test_identical_rotations_double_every_field():
-    event = RotationEvent("RR", 2, 2, [], None)  # pivot at path (LEFT,)
+    event = RotationEvent("RR", 2, 2, None)  # pivot at path (LEFT,)
     flips = (0 ^ 3).bit_count()  # one pointer rewrite 0 -> 3
     single = FlipLedger()
     record_rotation(event, 0, flips, single, AccountingConfig())
@@ -89,8 +89,8 @@ def test_identical_rotations_double_every_field():
 
 def test_ledger_merge_equals_concatenated_stream():
     acct = AccountingConfig()
-    event_a = RotationEvent("RR", 1, 1, [], None)  # at the root
-    event_b = RotationEvent("LL", 3, 5, [], None)  # at path (LEFT, RIGHT)
+    event_a = RotationEvent("RR", 1, 1, None)  # at the root
+    event_b = RotationEvent("LL", 3, 5, None)  # at path (LEFT, RIGHT)
     flips_a = (0 ^ 7).bit_count()
     flips_b = (1 ^ 2).bit_count()
 
@@ -139,7 +139,8 @@ def run_with_snapshot_oracle(width, kind, ratio, seed, acct, mode=INCREMENTAL,
     """Run one trial comparing event-driven flips against full-snapshot
     diffs around every single rotation, both the writes handed to the
     rotation hook and the ledger's total; returns the rotation count.
-    The trial inserts ``keys``, by default a permutation drawn from ``seed``."""
+    Each pointer write's ("link", node) must name a field whose child
+    changed to ``node``.  The trial inserts ``keys``, by default a permutation drawn from ``seed``."""
     n = num_nodes or nodes_for_width(width)
     scheme = SchemeConfig(kind, width, ratio, seed=seed * 31 + 1)
     runner = TrialRunner(scheme, acct, mode, num_nodes=n,
@@ -150,13 +151,22 @@ def run_with_snapshot_oracle(width, kind, ratio, seed, acct, mode=INCREMENTAL,
         state["pre"] = full_snapshot(runner, acct)
 
     def after(event, relabel_writes, rewrites):
-        post = full_snapshot(runner, acct)
+        pre, post = state["pre"], full_snapshot(runner, acct)
         recorded = 0
         if acct.count_pointer_rewrites:
             recorded += sum((w.old ^ w.new).bit_count() for w in rewrites)
+            # ("link", n) names the one field that links n: it linked
+            # another node before, whose word the write replaced.
+            linking = {child: slot for slot, (child, _) in post.items()
+                       if slot[0] != "label"}
+            for w in rewrites:
+                tag, node = w.location
+                slot = linking[node]
+                assert tag == "link" and pre[slot][0] is not node
+                assert (pre[slot][1], post[slot][1]) == (w.old, w.new)
         if acct.count_node_relabels:
             recorded += sum((w.old ^ w.new).bit_count() for w in relabel_writes)
-        diff = snapshot_flip_diff(state["pre"], post)
+        diff = snapshot_flip_diff(pre, post)
         assert diff == recorded
         state["diffs"] += diff
         state["count"] += 1

@@ -28,6 +28,8 @@ from hartsim.harness import (
     TrialRunner,
     balanced_insertion_order,
     gen_dataset,
+    rotations_histogram,
+    run_trial,
 )
 
 
@@ -102,6 +104,19 @@ def test_identity_bound_incremental_trial_never_walks_the_moved_set(kind, monkey
     monkeypatch.setattr(RotationEvent, "moved", property(walked))
     runner = feed(make_runner(kind, 8, n=63), gen_dataset(63, 5))
     assert runner.ledger.total_rotations > 0
+
+
+def test_rewired_is_read_only_to_charge_or_hand_over_pointer_writes(monkeypatch):
+    """Rotation histograms and an unhooked trial that counts relabels
+    only never read ``rewired``: an event is built without its pairs."""
+    def read(event):
+        raise AssertionError("rewired read")
+
+    monkeypatch.setattr(RotationEvent, "rewired", property(read))
+    assert sum(rotations_histogram(10, 2, 3).values()) > 0
+    scheme = SchemeConfig(SchemeKind.DFAT_GRAY, 9)
+    ledger, _ = run_trial(scheme, 4, AccountingConfig(False, True))
+    assert ledger.total_rotations > 0 and ledger.total_flips > 0
 
 
 def test_random_is_seed_deterministic_and_unique():

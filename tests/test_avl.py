@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import avl_defect, build_tree, heap_id_of, path_of, tree_height
+from conftest import ROOT_KEY, avl_defect, build_tree, heap_id_of, path_of, tree_height
 from hartsim.avl import (
     LEFT,
     RIGHT,
     ROOT_LEVEL,
-    ROOT_SLOT,
     AvlTree,
     DuplicateKeyError,
     Node,
@@ -129,7 +128,7 @@ def _node_at(tree, path):
 
 def _slots(tree):
     """{slot: child or None} for every pointer slot of the tree."""
-    slots = {ROOT_SLOT: tree.root}
+    slots = {ROOT_KEY: tree.root}
     for node, _ in tree.nodes_with_paths():
         slots[(node, LEFT)] = node.left
         slots[(node, RIGHT)] = node.right
@@ -140,8 +139,9 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
     """Whole-tree snapshots around every single rotation: the nodes whose
     root path changed are exactly ``moved``, the rearranged subtree under
     ``pivot`` in the preorder ``nodes_with_paths`` gives, each at its
-    snapshot paths before and after; ``rewired`` is exactly the set of
-    slots whose non-None child changed.  Positions reported as integers
+    snapshot paths before and after; ``rewired`` is exactly the
+    (old child, new child) pairs of the slots whose non-None child
+    changed, the slot above the subtree first.  Positions reported as integers
     match the paths: ``on_attach`` gets the new leaf's depth and heap id,
     and ``pivot_level`` and ``pivot_id`` give the slot's path, which
     held the sub-root before and holds the pivot after."""
@@ -176,7 +176,7 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
 
         old_slots, new_slots = state["slots"], _slots(tree)
         rewired = {
-            (slot, old_slots[slot], new_slots[slot])
+            (old_slots[slot], new_slots[slot])
             for slot in old_slots.keys() & new_slots.keys()
             if old_slots[slot] is not None
             and new_slots[slot] is not None
@@ -186,6 +186,7 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
         assert set(event.rewired) == rewired
         pivot = event.moved[0]
         sub_root = next(n for n in event.moved if old_paths[n] == prefix)
+        assert event.rewired[0] == (sub_root, pivot)
         seen["LEFT" if pivot.left is sub_root else "RIGHT"] += 1
         seen["one slot" if len(rewired) == 1 else "three slots"] += 1
 

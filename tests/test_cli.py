@@ -268,6 +268,37 @@ def test_bench_rejects_bad_scheme(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--bits", "8-"], "--bits part '8-' is not a width or a range a-b"),
+    (["bench", "--bits", "-3"], "--bits part '-3' is not a width or a range a-b"),
+    (["rotations", "--bits", "8,7-x"], "--bits part '7-x' is not a width or a range a-b"),
+    (["bench", "--bits", "8", "--schemes", "linear,foo"],
+     "unknown scheme 'foo': use linear, random, gray, dfat-gray, hart, or all alone"),
+    (["rotations", "--bits", "2"], "width 2 outside [3, 24]"),
+    (["compare-thresholds", "--nodes", "0"], "0 nodes outside [1, 4194303]"),
+])
+def test_bad_widths_schemes_and_sizes_name_the_input(tmp_path, capsys, argv, message):
+    """A malformed ``--bits`` part or an unknown scheme is named in the
+    error, with the schemes to choose from; a value below its range is
+    not blamed on memory.  Nothing is written."""
+    out = tmp_path / "out"
+    assert main(argv + ["--trials", "1", "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratio, message", [
+    ("abc", "Invalid literal for Fraction: 'abc'"),
+    ("0", "ratio 0 outside (0, 1]"),
+])
+@pytest.mark.parametrize("scheme", ["linear", "random", "gray", "dfat-gray"])
+def test_assign_dump_checks_the_ratio_of_every_scheme(capsys, scheme, ratio, message):
+    """``--ratio`` is parsed for every scheme, as ``bench`` parses it, and
+    is taken only by hart."""
+    assert main(["assign-dump", "--nodes", "7", "--scheme", scheme, "--ratio", ratio]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_bench_requires_bits():
     with pytest.raises(SystemExit) as excinfo:
         main(["bench"])

@@ -31,7 +31,7 @@ from hartsim.addressing import (
     SOURCE_POSITIONAL,
     SOURCE_SPARE,
 )
-from hartsim.avl import LEFT, RIGHT, ROOT_LEVEL, ROOT_SLOT, AvlTree
+from hartsim.avl import LEFT, RIGHT, ROOT_LEVEL, AvlTree
 from hartsim.harness import DECOMPOSED, FULL_PASS, INCREMENTAL, PER_CASE, TrialRunner
 
 SCHEMES = [(SchemeKind(tag), None) for tag in ("linear", "random", "gray", "dfat-gray")] + [
@@ -177,8 +177,9 @@ class ReferenceTree:
     """The AVL insert that caches heights: a descent that keeps the path,
     then a climb that refreshes each height and rebalances the first node
     at +-2.  It books each attach as (key, depth, heap id) and each single
-    rotation as (kind, pivot level, pivot id, pivot key, rewired slots),
-    with nodes given by their keys."""
+    rotation as (kind, pivot level, pivot id, pivot key, rewired pairs),
+    with nodes given by their keys and each rewired pointer field by the
+    (old child, new child) it linked."""
 
     def __init__(self):
         self.root = None
@@ -231,15 +232,14 @@ class ReferenceTree:
         for node in (sub_root, pivot):
             node.height = 1 + max(_height(node.left), _height(node.right))
         if parent is None:
-            self.root, slot = pivot, ROOT_SLOT
+            self.root = pivot
         elif parent.left is sub_root:
-            parent.left, slot = pivot, (parent.key, LEFT)
+            parent.left = pivot
         else:
-            parent.right, slot = pivot, (parent.key, RIGHT)
-        rewired = [(slot, sub_root.key, pivot.key)]
+            parent.right = pivot
+        rewired = [(sub_root.key, pivot.key)]
         if inner is not None:
-            rewired += [((sub_root.key, 1 - direction), pivot.key, inner.key),
-                        ((pivot.key, direction), inner.key, sub_root.key)]
+            rewired += [(pivot.key, inner.key), (inner.key, sub_root.key)]
         self.events.append((kind, level, pivot_id, pivot.key, rewired))
 
     def preorder(self):
@@ -254,10 +254,6 @@ class ReferenceTree:
         return out
 
 
-def _slot_keys(slot):
-    return slot if slot == ROOT_SLOT else (slot[0].key, slot[1])
-
-
 def check_insert_matches_reference(keys):
     """The tree's events, attaches and final shape equal the reference's,
     and its cached balances hold."""
@@ -270,7 +266,7 @@ def check_insert_matches_reference(keys):
     for key in keys:
         events += [
             (e.kind, e.pivot_level, e.pivot_id, e.pivot.key,
-             [(_slot_keys(slot), old.key, new.key) for slot, old, new in e.rewired])
+             [(old.key, new.key) for old, new in e.rewired])
             for e in tree.insert(key, on_attach=attach)
         ]
         reference.insert(key)

@@ -311,9 +311,11 @@ def test_trees_too_large_to_build_fail_before_any_allocation(monkeypatch, capsys
             rotations_histograms([8, width], trials=1)
     with pytest.raises(ValueError, match="does not fit in memory"):
         compare_thresholds(MAX_NODES + 1, trials=1)
-    for num_nodes in (MAX_NODES + 1, 10**9, 0):
+    for num_nodes in (MAX_NODES + 1, 10**9):
         with pytest.raises(ValueError, match="does not fit in memory"):
             run_trial(SchemeConfig(SchemeKind.LINEAR, 8), 1, num_nodes=num_nodes)
+    with pytest.raises(ValueError, match=rf"^0 nodes outside \[1, {MAX_NODES}\]$"):
+        run_trial(SchemeConfig(SchemeKind.LINEAR, 8), 1, num_nodes=0)
     with pytest.raises(ValueError, match="does not fit in memory"):
         cli.parse_bits(f"20-{widest + 1}")
     for argv in (["bench", "--bits", f"8-{widest + 1}"],
