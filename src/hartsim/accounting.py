@@ -20,6 +20,7 @@ default counts pointer rewrites only.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .avl import RotationEvent
@@ -58,29 +59,21 @@ class FlipLedger:
 
     total_flips: int = 0
     total_rotations: int = 0
-    flips_per_level: dict = field(default_factory=dict)
-    rotations_per_level: dict = field(default_factory=dict)
+    flips_per_level: Counter = field(default_factory=Counter)
+    rotations_per_level: Counter = field(default_factory=Counter)
     overflow_fallbacks: int = 0
     indexed_nodes: int = 0  # positional indices computed by re-assignment
 
     def merge(self, other: "FlipLedger") -> "FlipLedger":
-        """Field-wise sum; merging trial ledgers equals running the
-        concatenated event streams."""
-        out = FlipLedger(
+        """Field-wise sum: the ledger of both event streams run in turn."""
+        return FlipLedger(
             total_flips=self.total_flips + other.total_flips,
             total_rotations=self.total_rotations + other.total_rotations,
-            flips_per_level=dict(self.flips_per_level),
-            rotations_per_level=dict(self.rotations_per_level),
+            flips_per_level=self.flips_per_level + other.flips_per_level,
+            rotations_per_level=self.rotations_per_level + other.rotations_per_level,
             overflow_fallbacks=self.overflow_fallbacks + other.overflow_fallbacks,
             indexed_nodes=self.indexed_nodes + other.indexed_nodes,
         )
-        for level, count in other.flips_per_level.items():
-            out.flips_per_level[level] = out.flips_per_level.get(level, 0) + count
-        for level, count in other.rotations_per_level.items():
-            out.rotations_per_level[level] = (
-                out.rotations_per_level.get(level, 0) + count
-            )
-        return out
 
 
 def record_rotation(
@@ -89,7 +82,7 @@ def record_rotation(
     pointer_flips: int,
     ledger: FlipLedger,
     acct: AccountingConfig,
-) -> FlipLedger:
+) -> None:
     """Credit one rotation and its counted categories' flips to its level."""
     flips = 0
     if acct.count_pointer_rewrites:
@@ -98,8 +91,7 @@ def record_rotation(
         flips += relabel_flips
     level = event.pivot_level
     ledger.total_rotations += 1
-    ledger.rotations_per_level[level] = ledger.rotations_per_level.get(level, 0) + 1
+    ledger.rotations_per_level[level] += 1
     if flips:
         ledger.total_flips += flips
-        ledger.flips_per_level[level] = ledger.flips_per_level.get(level, 0) + flips
-    return ledger
+        ledger.flips_per_level[level] += flips

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Optional
 
-from .avl import ROOT_LEVEL, AvlTree
+from .avl import AvlTree
 
 
 class CapacityError(RuntimeError):
@@ -328,7 +328,7 @@ class AddressAssigner:
         cutoff = self.linear_cutoff
         rank = self._rank
         capacity = self.width
-        stack = [(event.pivot, event.pivot_level - ROOT_LEVEL, event.pivot_id)]
+        stack = [(event.pivot, event.pivot_level - 1, event.pivot_id)]
         push = stack.append
         pop = stack.pop
         changers = []

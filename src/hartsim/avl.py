@@ -8,9 +8,9 @@ it emits two events: the counting convention of every statistic
 downstream.  Nodes cache ``balance`` = height(right) - height(left), so
 an insert makes one descent and no climb (Knuth's single-pass insertion).
 
-Levels are 1-based: the root sits at level ``ROOT_LEVEL`` and a node at
-depth ``d`` sits at level ``d + ROOT_LEVEL``.  A position is an integer
-heap id (root 1, a child ``2*id + step``); no path of steps is built.
+A position is an integer heap id (root 1, a child ``2*id + step``); no
+path of steps is built.  A level is 1-based, the heap id's bit length:
+the root is level 1, and a node at depth ``d`` is at level ``d + 1``.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ from typing import Callable, Optional
 
 LEFT = 0
 RIGHT = 1
-
-#: Level assigned to the root node.  Kept as a module constant so the
-#: numbering convention is adjustable in one place.
-ROOT_LEVEL = 1
 
 
 class DuplicateKeyError(ValueError):
@@ -247,7 +243,7 @@ class AvlTree:
             attach_parent.left = pivot
 
         event = RotationEvent(
-            kind, heap_id.bit_length() - 1 + ROOT_LEVEL, heap_id,
+            kind, heap_id.bit_length(), heap_id,
             (self, self.size, pivot, sub_root, direction, outer, inner, far),
         )
         events.append(event)

@@ -29,14 +29,14 @@ from .addressing import (
     SOURCE_RANDOM,
     SOURCE_SPARE,
 )
-from .avl import ROOT_LEVEL, AvlTree
+from .avl import AvlTree
 from .harness import (
     DEFAULT_RATIOS,
     DEFAULT_TRIALS,
-    FULL_PASS,
     INCREMENTAL,
     PER_CASE,
-    DECOMPOSED,
+    REASSIGN_MODES,
+    ROTATION_COUNTINGS,
     ExperimentConfig,
     SchemeSpec,
     balanced_insertion_order,
@@ -68,9 +68,9 @@ def _distinct(items, what: str) -> list:
     return items
 
 
-def parse_bits(text: str) -> list:
-    """Parse widths: single values, comma lists, inclusive ranges a-b;
-    a width given twice, also by overlapping ranges, is an error."""
+def parse_bits(text: str, size=nodes_for_width) -> list:
+    """Parse widths: single values, comma lists, inclusive ranges a-b; a width
+    ``size`` refuses, or given twice (also by overlapping ranges), is an error."""
     widths = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -83,27 +83,22 @@ def parse_bits(text: str) -> list:
             raise ValueError(f"--bits part {chunk!r} is not a width or a range a-b") from None
         if hi < lo:
             raise ValueError(f"empty width range {chunk!r}")
-        for width in (lo, hi):  # a width with no tree fails before a range is listed
-            nodes_for_width(width)
+        for width in (lo, hi):  # a refused width fails before a range is listed
+            size(width)
         widths.extend(range(lo, hi + 1))
     return _distinct(widths, "width")
 
 
-def single_width(args) -> int:
-    """The one width of ``--bits`` for commands that take no range."""
-    widths = parse_bits(args.bits)
-    if len(widths) != 1:
-        raise ValueError(f"{args.command} takes a single width, got --bits {args.bits}")
-    return widths[0]
-
-
-def tree_size(args) -> int:
-    """The node count given by ``--nodes`` or by the one width of ``--bits``."""
+def tree_size(args, size=nodes_for_width) -> int:
+    """The node count given by ``--nodes``, or ``size`` of the one width of ``--bits``."""
     if args.nodes is not None:
         return args.nodes
     if args.bits is None:
         raise ValueError("give --nodes or --bits")
-    return nodes_for_width(single_width(args))
+    widths = parse_bits(args.bits, size)
+    if len(widths) != 1:
+        raise ValueError(f"{args.command} takes a single width, got --bits {args.bits}")
+    return size(widths[0])
 
 
 def positive_int(text: str) -> int:
@@ -255,11 +250,14 @@ _REGION_NAMES = {
 
 
 def cmd_assign_dump(args) -> int:
-    num_nodes = tree_size(args)
+    def size(width):  # the cap, not the memory bound, refuses a wide --bits
+        if width <= ASSIGN_DUMP_LIMIT.bit_length() + 1:  # 12 bits: 1,023 nodes
+            return nodes_for_width(width)
+        raise ValueError(f"assign-dump handles 1..{ASSIGN_DUMP_LIMIT} nodes, got --bits {width}")
+
+    num_nodes = tree_size(args, size)
     if not 1 <= num_nodes <= ASSIGN_DUMP_LIMIT:
-        raise ValueError(
-            f"assign-dump handles 1..{ASSIGN_DUMP_LIMIT} nodes, got {num_nodes}"
-        )
+        raise ValueError(f"assign-dump handles 1..{ASSIGN_DUMP_LIMIT} nodes, got {num_nodes}")
     kind = SchemeKind(args.scheme)
     ratio = parse_ratio(args.ratio)  # checked for every scheme, as bench does
     width = num_nodes.bit_length() + 2 if args.width is None else args.width
@@ -276,7 +274,7 @@ def cmd_assign_dump(args) -> int:
     def attach(node, depth, heap_id):
         value = assigner.assign_on_insert(node, depth, heap_id)
         region = _REGION_NAMES.get(assigner.records[node].source, positional_name)
-        rows.append((node.key, depth + ROOT_LEVEL, region, dfat_rank(heap_id, depth, width),
+        rows.append((node.key, heap_id.bit_length(), region, dfat_rank(heap_id, depth, width),
                      format(value, f"0{width}b")))
 
     tree = AvlTree()
@@ -302,7 +300,7 @@ def cmd_assign_dump(args) -> int:
 # ----------------------------------------------------------------------
 def _add_addressing(sub) -> None:
     """Flags of the commands that address and account, not of ``rotations``."""
-    sub.add_argument("--mode", choices=(INCREMENTAL, FULL_PASS), default=INCREMENTAL)
+    sub.add_argument("--mode", choices=REASSIGN_MODES, default=INCREMENTAL)
     sub.add_argument(
         "--accounting", choices=("pointer", "relabel", "both"), default="pointer"
     )
@@ -311,9 +309,7 @@ def _add_addressing(sub) -> None:
 def _add_common(sub) -> None:
     sub.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument(
-        "--rotation-counting", choices=(PER_CASE, DECOMPOSED), default=PER_CASE
-    )
+    sub.add_argument("--rotation-counting", choices=ROTATION_COUNTINGS, default=PER_CASE)
     sub.add_argument("--out", choices=("csv", "json"), default="csv")
     sub.add_argument("--output-dir", default=".")
     sub.add_argument("--jobs", type=positive_int, default=1,

@@ -60,7 +60,6 @@ ROTATION_COUNTINGS = (PER_CASE, DECOMPOSED)
 
 DEFAULT_TRIALS = 100
 DEFAULT_RATIOS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-_DOUBLE_KINDS = ("LR", "RL")
 
 #: Most nodes one trial may build, nodes_for_width(24).  A width-14 trial
 #: peaks at 260-360 bytes per node under tracemalloc (key list, tree
@@ -160,9 +159,6 @@ class TrialRunner:
         self.before_rotation_hook = None
         self.after_rotation_hook = None
 
-    def insert(self, key: int) -> None:
-        self.run((key,))
-
     def run(self, keys) -> None:
         """Insert ``keys``: one tree call per key, hooks bound once."""
         insert = self.tree.insert
@@ -211,7 +207,7 @@ class TrialRunner:
             self._pending_half = None
             record_rotation(event, held[0] + relabel_flips,
                             held[1] + pointer_flips, self.ledger, acct)
-        elif self.rotation_counting == PER_CASE and event.kind in _DOUBLE_KINDS:
+        elif self.rotation_counting == PER_CASE and event.kind in ("LR", "RL"):
             # First half of a double: hold its flips for the case.
             self._pending_half = (relabel_flips, pointer_flips)
         else:
@@ -374,8 +370,6 @@ def _run_cells(cells, trials: int, base_seed: int,
     outcomes are merged in trial order.  Returns CellResults in order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if accounting is None:
-        accounting = AccountingConfig()
     sizes = [  # fail before any trial allocates
         check_tree_size(nodes_for_width(width) if num_nodes is None else num_nodes)
         for width, _, num_nodes in cells
@@ -447,18 +441,15 @@ def compare_thresholds(
 def _histogram_task(task):
     num_nodes, seed, counting = task
     tree = AvlTree()
-    counts: dict = {}
+    counts = Counter()
     for new_key in gen_dataset(num_nodes, seed):
         events = tree.insert(new_key)
         if not events:
             continue
-        if counting == PER_CASE:
-            # The case pivot is the last event of the insert's rebalance.
-            levels = (events[-1].pivot_level,)
+        if counting == PER_CASE:  # the case pivot is the rebalance's last event
+            counts[events[-1].pivot_level] += 1
         else:
-            levels = tuple(e.pivot_level for e in events)
-        for level in levels:
-            counts[level] = counts.get(level, 0) + 1
+            counts.update(e.pivot_level for e in events)
     return counts
 
 

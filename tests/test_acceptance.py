@@ -176,7 +176,7 @@ def test_criterion_5_incremental_equals_full_pass():
             ]
             for key in gen_dataset(n, dataset_seed(BASE_SEED, width, seed)):
                 for runner in runners:
-                    runner.insert(key)
+                    runner.run((key,))
                 if address_map(runners[0]) != address_map(runners[1]):
                     mismatch = f"{kind.value} seed {seed} diverged at key {key}"
                     break

@@ -37,7 +37,7 @@ def _run_fixture(kind, width, accounting, keys, n=None):
     scheme = SchemeConfig(kind, width, Fraction(1, 2) if kind is SchemeKind.HART else None)
     runner = TrialRunner(scheme, accounting, num_nodes=n or len(keys))
     for key in keys:
-        runner.insert(key)
+        runner.run((key,))
     return runner
 
 
@@ -174,7 +174,7 @@ def run_with_snapshot_oracle(width, kind, ratio, seed, acct, mode=INCREMENTAL,
     runner.before_rotation_hook = before
     runner.after_rotation_hook = after
     for key in gen_dataset(n, seed) if keys is None else keys:
-        runner.insert(key)
+        runner.run((key,))
     # The ledger is summed apart from the hook's writes: check it too.
     assert runner.ledger.total_flips == state["diffs"]
     return state["count"]

@@ -40,7 +40,7 @@ def make_runner(kind, width, ratio=None, n=None, mode=INCREMENTAL, seed=7):
 
 def feed(runner, keys):
     for key in keys:
-        runner.insert(key)
+        runner.run((key,))
     return runner
 
 
@@ -188,7 +188,7 @@ def test_dfat_gray_three_node_rotation_fixture():
             (write.location[1].key, write.old, write.new) for write in rl
         )
     )
-    runner.insert(3)
+    runner.run((3,))
     # pre-rotation: 3 sits at [R, R] with rank 5, gray(5) == 7 == null -> spare 1
     assert sorted(relabels) == [(1, 0, 1), (2, 6, 0), (3, 1, 6)]
     assert address_map(runner) == {2: 0, 1: 1, 3: 6}
@@ -274,7 +274,7 @@ def test_hybrid_partition_audit_after_every_insert():
         cutoff = threshold_from_ratio(tree_height_estimate(127), ratio)
         assert runner.assigner.linear_cutoff == cutoff
         for key in gen_dataset(127, 13):
-            runner.insert(key)
+            runner.run((key,))
             for node, path in runner.tree.nodes_with_paths():
                 rec = runner.assigner.records[node]
                 if len(path) + 1 <= cutoff:
@@ -297,7 +297,7 @@ def test_addresses_unique_after_every_insert():
     ):
         runner = make_runner(kind, 8, ratio=ratio, n=63)
         for key in gen_dataset(63, 21):
-            runner.insert(key)
+            runner.run((key,))
             values = list(address_map(runner).values())
             assert len(set(values)) == len(values)
             assert (1 << 8) - 1 not in values  # null word never assigned
@@ -313,7 +313,7 @@ def test_incremental_equals_full_pass_address_maps():
             for key in gen_dataset(63, seed):
                 maps = []
                 for runner in runners:
-                    runner.insert(key)
+                    runner.run((key,))
                     maps.append(address_map(runner))
                 assert maps[0] == maps[1]
             assert runners[0].ledger.total_flips == runners[1].ledger.total_flips

@@ -8,7 +8,6 @@ from conftest import ROOT_KEY, avl_defect, build_tree, heap_id_of, path_of, tree
 from hartsim.avl import (
     LEFT,
     RIGHT,
-    ROOT_LEVEL,
     AvlTree,
     DuplicateKeyError,
     Node,
@@ -162,7 +161,7 @@ def test_moved_set_and_rewired_slots_match_tree_snapshots():
         old_paths = state["paths"]
         new_paths = _paths(tree)
         prefix = path_of(event.pivot_id)
-        assert len(prefix) == event.pivot_level - ROOT_LEVEL
+        assert len(prefix) == event.pivot_level - 1
         assert heap_id_of(prefix) == event.pivot_id
         expected = [
             (node, old_paths[node], path)

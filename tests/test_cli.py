@@ -276,15 +276,36 @@ def test_bench_rejects_bad_scheme(tmp_path, capsys):
      "unknown scheme 'foo': use linear, random, gray, dfat-gray, hart, or all alone"),
     (["rotations", "--bits", "2"], "width 2 outside [3, 24]"),
     (["compare-thresholds", "--nodes", "0"], "0 nodes outside [1, 4194303]"),
+    (["compare-thresholds", "--bits", "25"],
+     "width 25 outside [3, 24]: a wider tree does not fit in memory"),
+    (["assign-dump", "--bits", "13"], "assign-dump handles 1..1024 nodes, got --bits 13"),
+    (["assign-dump", "--bits", "25"], "assign-dump handles 1..1024 nodes, got --bits 25"),
 ])
 def test_bad_widths_schemes_and_sizes_name_the_input(tmp_path, capsys, argv, message):
     """A malformed ``--bits`` part or an unknown scheme is named in the
     error, with the schemes to choose from; a value below its range is
-    not blamed on memory.  Nothing is written."""
+    not blamed on memory, nor is one past assign-dump's own cap.
+    Nothing is written or printed."""
     out = tmp_path / "out"
-    assert main(argv + ["--trials", "1", "--output-dir", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    if argv[0] != "assign-dump":
+        argv = argv + ["--trials", "1", "--output-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, names", [
+    ("--mode", "'incremental', 'full-pass'"),
+    ("--rotation-counting", "'per-case', 'decomposed'"),
+])
+def test_mode_flags_offer_the_harness_names(capsys, flag, names):
+    """The choices are the harness's own lists, in their order."""
+    assert names == ", ".join(map(repr, harness.REASSIGN_MODES if flag == "--mode"
+                                        else harness.ROTATION_COUNTINGS))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--bits", "8", flag, "bogus"])
+    assert excinfo.value.code == 2
+    assert f"{flag}: invalid choice: 'bogus' (choose from {names})" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ratio, message", [

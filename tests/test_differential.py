@@ -31,7 +31,7 @@ from hartsim.addressing import (
     SOURCE_POSITIONAL,
     SOURCE_SPARE,
 )
-from hartsim.avl import LEFT, RIGHT, ROOT_LEVEL, AvlTree
+from hartsim.avl import LEFT, RIGHT, AvlTree
 from hartsim.harness import DECOMPOSED, FULL_PASS, INCREMENTAL, PER_CASE, TrialRunner
 
 SCHEMES = [(SchemeKind(tag), None) for tag in ("linear", "random", "gray", "dfat-gray")] + [
@@ -107,8 +107,8 @@ def test_incremental_sweep_matches_full_pass_and_brute_force_ranks(n, extra, dat
         incremental = runner(kind, ratio, width, n, INCREMENTAL)
         full = runner(kind, ratio, width, n, FULL_PASS)
         for key in keys:
-            incremental.insert(key)
-            full.insert(key)
+            incremental.run((key,))
+            full.run((key,))
             assert address_map(incremental) == address_map(full), (kind, ratio, key)
             check_records(incremental, width)
             check_records(full, width)
@@ -123,7 +123,7 @@ def test_one_node_too_many_raises_capacity_error(width, data):
         run = runner(kind, ratio, width, len(keys), mode)
         with pytest.raises(CapacityError):
             for key in keys:
-                run.insert(key)
+                run.run((key,))
 
 
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)
@@ -148,7 +148,7 @@ def test_flip_ledgers_agree_on_adversarial_inputs(n, extra, data):
             whole.run(keys)
             by_key = runner(kind, ratio, width, n, mode, acct, counting)
             for key in keys:
-                by_key.insert(key)
+                by_key.run((key,))
             assert by_key.ledger == whole.ledger, (kind, ratio, acct, mode, counting)
             ledgers[a, mode, counting] = whole.ledger
         for a, acct in enumerate(ORACLE_ACCOUNTINGS):
@@ -205,7 +205,7 @@ class ReferenceTree:
             balance = _height(z.right) - _height(z.left)
             if abs(balance) > 1:
                 parent = path[depth - 1][0] if depth else None
-                self._rebalance(z, balance, depth + ROOT_LEVEL, z_id, parent)
+                self._rebalance(z, balance, depth + 1, z_id, parent)
                 return
             z.height = 1 + max(_height(z.left), _height(z.right))
 

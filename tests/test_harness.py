@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import avl_defect
-from hartsim.accounting import AccountingConfig
+from hartsim.accounting import AccountingConfig, FlipLedger
 from hartsim.addressing import (SchemeConfig, SchemeKind, threshold_from_ratio,
                                  tree_height_estimate)
 from hartsim.avl import AvlTree
@@ -155,12 +155,20 @@ def test_trial_rotations_bounded():
     assert sum(ledger.rotations_per_level.values()) == ledger.total_rotations
 
 
-def test_histogram_matches_trial_ledger():
-    hist = rotations_histogram(8, 1, base_seed=3)
+@pytest.mark.parametrize("counting", [PER_CASE, DECOMPOSED])
+def test_histogram_matches_trial_ledger(counting):
+    """The tree-only histogram averages the rotations that trial ledgers
+    book, per level, under either counting."""
+    trials = 3
+    hist = rotations_histogram(8, trials, base_seed=3, rotation_counting=counting)
     scheme = SchemeConfig(SchemeKind.LINEAR, 8)
-    ledger, _ = run_trial(scheme, dataset_seed(3, 8, 0))
-    assert sum(hist.values()) == ledger.total_rotations
-    assert {level: float(count) for level, count in ledger.rotations_per_level.items()} == hist
+    merged = FlipLedger()
+    for trial in range(trials):
+        ledger, _ = run_trial(scheme, dataset_seed(3, 8, trial), rotation_counting=counting)
+        merged = merged.merge(ledger)
+    assert sum(merged.rotations_per_level.values()) == merged.total_rotations
+    assert {level: count / trials
+            for level, count in merged.rotations_per_level.items()} == hist
 
 
 def test_histogram_counting_conventions():
