@@ -235,12 +235,13 @@ class AddressRecord:
 class AddressAssigner:
     """Assigns and re-assigns node addresses under one scheme.
 
-    One instance serves one trial: it owns the :class:`AddressSpace`
-    and a per-node audit record (address, how it was obtained, and for a
-    spare binding the position it was bound at).
+    One instance serves one trial, whose tree holds ``num_nodes`` keys (hart's
+    threshold level derives from it).  It owns the :class:`AddressSpace` and a
+    per-node audit record (address, how it was obtained, and for a spare
+    binding the position it was bound at).
     """
 
-    def __init__(self, config: SchemeConfig, num_nodes: Optional[int] = None):
+    def __init__(self, config: SchemeConfig, num_nodes: int):
         self.config = config
         width = config.pointer_width
         self.width = width  # also the rank capacity in levels: one bit per level
@@ -252,8 +253,6 @@ class AddressAssigner:
         # linear tree gets deeper than its width, so its cutoff is unbounded.
         self.linear_cutoff = sys.maxsize if config.kind is SchemeKind.LINEAR else 0
         if config.kind is SchemeKind.HART:
-            if num_nodes is None:
-                raise ValueError("hart needs num_nodes to derive its threshold")
             self.linear_cutoff = threshold_from_ratio(tree_height_estimate(num_nodes),
                                                       config.threshold_ratio)
         # Linear and random addresses stay with their node for good.

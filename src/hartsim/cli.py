@@ -90,11 +90,10 @@ def parse_bits(text: str, size=nodes_for_width) -> list:
 
 
 def tree_size(args, size=nodes_for_width) -> int:
-    """The node count given by ``--nodes``, or ``size`` of the one width of ``--bits``."""
+    """The node count given by ``--nodes``, or ``size`` of the one width of ``--bits``;
+    the parser requires one of the two (``_add_size``)."""
     if args.nodes is not None:
         return args.nodes
-    if args.bits is None:
-        raise ValueError("give --nodes or --bits")
     widths = parse_bits(args.bits, size)
     if len(widths) != 1:
         raise ValueError(f"{args.command} takes a single width, got --bits {args.bits}")
@@ -146,6 +145,17 @@ def _write_file(path, write, *table) -> None:
         write(handle, *table)
 
 
+def _report(args, path, cells, line) -> None:
+    """Write the rows of ``cells`` to ``path`` as ``--out`` says, then print
+    ``line(cell, mean)`` per cell (``mean`` as text, ``n/a`` if no rotation) and the path."""
+    write = write_rows_csv if args.out == "csv" else write_rows_json
+    _write_file(path, write, [row for cell in cells for row in rows_from_cell(cell)])
+    for cell in cells:
+        mean = cell.mean_flips_per_rotation
+        print(line(cell, "n/a" if mean is None else f"{mean:.4f}"))
+    print(f"wrote {path}")
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -163,23 +173,14 @@ def cmd_bench(args) -> int:
         rotation_counting=args.rotation_counting,
     )
     (path,) = _output_paths(args, "bench")
-    cells = run_experiment(config, jobs=args.jobs)
-    rows = [row for cell in cells for row in rows_from_cell(cell)]
-    write = write_rows_csv if args.out == "csv" else write_rows_json
-    _write_file(path, write, rows)
-    for cell in cells:
-        mean = cell.mean_flips_per_rotation
-        mean_text = "n/a" if mean is None else f"{mean:.4f}"
-        ratio_text = (
-            f" ratio={cell.threshold_ratio}" if cell.threshold_ratio is not None else ""
-        )
-        print(
-            f"width={cell.width} scheme={cell.scheme_tag}{ratio_text} "
-            f"mean_flips_per_rotation={mean_text} "
-            f"wall_time_s={cell.wall_seconds_per_trial:.4f} "
-            f"overflow_fallbacks={cell.ledger.overflow_fallbacks}"
-        )
-    print(f"wrote {path}")
+
+    def line(cell, mean):
+        ratio_text = "" if cell.threshold_ratio is None else f" ratio={cell.threshold_ratio}"
+        return (f"width={cell.width} scheme={cell.scheme_tag}{ratio_text} "
+                f"mean_flips_per_rotation={mean} wall_time_s={cell.wall_seconds_per_trial:.4f} "
+                f"overflow_fallbacks={cell.ledger.overflow_fallbacks}")
+
+    _report(args, path, run_experiment(config, jobs=args.jobs), line)
     return 0
 
 
@@ -189,10 +190,10 @@ def cmd_compare_thresholds(args) -> int:
     if args.ratios is not None:
         ratios = _distinct(map(parse_ratio, filter(str.strip, args.ratios.split(","))), "ratio")
     height = tree_height_estimate(num_nodes)
-    levels = [threshold_from_ratio(height, ratio) for ratio in ratios]
+    levels = {ratio: threshold_from_ratio(height, ratio) for ratio in ratios}
     (path,) = _output_paths(args, "thresholds")
     if args.emit_thresholds:
-        print(f"H={height}  " + ", ".join(f"T({r})={t}" for r, t in zip(ratios, levels)))
+        print(f"H={height}  " + ", ".join(f"T({r})={t}" for r, t in levels.items()))
     cells = compare_thresholds(
         num_nodes,
         ratios=ratios,
@@ -203,18 +204,9 @@ def cmd_compare_thresholds(args) -> int:
         jobs=args.jobs,
         rotation_counting=args.rotation_counting,
     )
-    rows = []
-    for cell, level in zip(cells, levels):
-        rows.extend(rows_from_cell(cell))
-        mean = cell.mean_flips_per_rotation
-        print(
-            f"ratio={cell.threshold_ratio} H={height} T={level} "
-            f"mean_flips={'n/a' if mean is None else f'{mean:.4f}'} "
-            f"wall_time_s={cell.wall_seconds_per_trial:.4f}"
-        )
-    write = write_rows_csv if args.out == "csv" else write_rows_json
-    _write_file(path, write, rows)
-    print(f"wrote {path}")
+    _report(args, path, cells, lambda cell, mean: (
+        f"ratio={cell.threshold_ratio} H={height} T={levels[cell.threshold_ratio]} "
+        f"mean_flips={mean} wall_time_s={cell.wall_seconds_per_trial:.4f}"))
     return 0
 
 
@@ -298,6 +290,13 @@ def cmd_assign_dump(args) -> int:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
+def _add_size(sub) -> None:
+    """The tree size of a one-tree command: ``--nodes`` or one ``--bits`` width."""
+    size = sub.add_mutually_exclusive_group(required=True)
+    size.add_argument("--nodes", type=int)
+    size.add_argument("--bits")
+
+
 def _add_addressing(sub) -> None:
     """Flags of the commands that address and account, not of ``rotations``."""
     sub.add_argument("--mode", choices=REASSIGN_MODES, default=INCREMENTAL)
@@ -335,9 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_t = subs.add_parser(
         "compare-thresholds", help="hybrid scheme at several threshold ratios"
     )
-    size = cmp_t.add_mutually_exclusive_group()
-    size.add_argument("--nodes", type=int)
-    size.add_argument("--bits")
+    _add_size(cmp_t)
     cmp_t.add_argument("--ratios", help="comma list, e.g. 0.25,0.5,0.75 or 1/4,1/2")
     cmp_t.add_argument(
         "--emit-thresholds", action="store_true",
@@ -355,9 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump = subs.add_parser(
         "assign-dump", help="per-node address assignment of one small tree"
     )
-    size = dump.add_mutually_exclusive_group()
-    size.add_argument("--nodes", type=int)
-    size.add_argument("--bits")
+    _add_size(dump)
     dump.add_argument("--scheme", default="hart", choices=[k.value for k in SchemeKind])
     dump.add_argument("--ratio", default="0.5")
     dump.add_argument("--width", type=positive_int, help="override the pointer width")

@@ -136,15 +136,16 @@ def balanced_insertion_order(n: int) -> list:
 
 
 class TrialRunner:
-    """Wires one tree, one assigner and one ledger together."""
+    """Wires one tree of ``num_nodes`` keys, one assigner and one ledger together."""
 
     def __init__(
         self,
         scheme: SchemeConfig,
         accounting: AccountingConfig,
         reassign_mode: str = INCREMENTAL,
-        num_nodes: Optional[int] = None,
         rotation_counting: str = PER_CASE,
+        *,
+        num_nodes: int,
     ):
         check_modes(reassign_mode, rotation_counting)
         self.tree = AvlTree()
@@ -242,7 +243,7 @@ def run_trial(
     if num_nodes is None:
         num_nodes = nodes_for_width(scheme.pointer_width)
     check_tree_size(num_nodes)  # fail before the keys are generated
-    runner = TrialRunner(scheme, accounting, reassign_mode, num_nodes, rotation_counting)
+    runner = TrialRunner(scheme, accounting, reassign_mode, rotation_counting, num_nodes=num_nodes)
     runner.run(gen_dataset(num_nodes, seed))
     return runner.ledger, runner.addressing_seconds
 

@@ -147,7 +147,7 @@ def _dense_draws(width, seed, draws):
 
 
 def _random_assigner(width, seed):
-    return AddressAssigner(SchemeConfig(SchemeKind.RANDOM, width, seed=seed))
+    return AddressAssigner(SchemeConfig(SchemeKind.RANDOM, width, seed=seed), (1 << width) - 1)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)

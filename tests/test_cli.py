@@ -341,6 +341,32 @@ def test_compare_thresholds_outputs(tmp_path, capsys):
     assert all(row["scheme"] == "hart" for row in rows)
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (["bench", "--bits", "8"], [
+        "width=8 scheme=linear mean_flips_per_rotation=6.5098 wall_time_s=* overflow_fallbacks=0",
+        "width=8 scheme=random mean_flips_per_rotation=9.4902 wall_time_s=* overflow_fallbacks=0",
+        "width=8 scheme=gray mean_flips_per_rotation=2.6275 wall_time_s=* overflow_fallbacks=0",
+        "width=8 scheme=dfat-gray mean_flips_per_rotation=2.9804 wall_time_s=* "
+        "overflow_fallbacks=0",
+        "width=8 scheme=hart ratio=1/2 mean_flips_per_rotation=3.7843 wall_time_s=* "
+        "overflow_fallbacks=0",
+        "wrote {dir}/bench.csv",
+    ]),
+    (["compare-thresholds", "--nodes", "63", "--emit-thresholds"], [
+        "H=6  T(1/4)=2, T(1/2)=3, T(3/4)=5",
+        "ratio=1/4 H=6 T=2 mean_flips=3.2157 wall_time_s=*",
+        "ratio=1/2 H=6 T=3 mean_flips=3.7843 wall_time_s=*",
+        "ratio=3/4 H=6 T=5 mean_flips=6.0392 wall_time_s=*",
+        "wrote {dir}/thresholds.csv",
+    ]),
+], ids=["bench", "compare-thresholds"])
+def test_grid_commands_print_one_line_per_cell(tmp_path, capsys, argv, lines):
+    assert main(argv + ["--trials", "2", "--output-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert re.sub(r"wall_time_s=\d+\.\d{4}\b", "wall_time_s=*", out) == "".join(
+        line.format(dir=tmp_path) + "\n" for line in lines)
+
+
 def test_compare_thresholds_ratio_override(tmp_path):
     code = main([
         "compare-thresholds", "--bits", "8", "--trials", "1",
@@ -351,10 +377,18 @@ def test_compare_thresholds_ratio_override(tmp_path):
     assert {row["threshold_ratio"] for row in rows} == {"0.1", "0.9"}
 
 
-def test_compare_thresholds_needs_size(tmp_path, capsys):
-    code = main(["compare-thresholds", "--output-dir", str(tmp_path)])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["compare-thresholds", "assign-dump"])
+def test_missing_size_is_a_usage_error(tmp_path, capsys, command):
+    argv = [command]
+    if command == "compare-thresholds":
+        argv += ["--trials", "1", "--output-dir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert f"{command}: error: one of the arguments --nodes --bits is required" in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["compare-thresholds", "assign-dump"])
