@@ -25,7 +25,6 @@ from .harness import (
     ExperimentConfig,
     SchemeSpec,
     TrialRunner,
-    balanced_insertion_order,
     compare_thresholds,
     gen_dataset,
     nodes_for_width,

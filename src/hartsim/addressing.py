@@ -267,7 +267,9 @@ class AddressAssigner:
 
     # -- insertion -----------------------------------------------------
     def assign_on_insert(self, node, depth: int, heap_id: int) -> int:
-        """Address a new leaf; an ``on_attach`` of :meth:`AvlTree.insert`."""
+        """Address a new node at ``depth`` and ``heap_id``: a trial's tree
+        calls it as the ``on_attach`` of :meth:`AvlTree.insert`, and
+        ``assign-dump`` for each node of the tree it places."""
         kind = self.config.kind
         if kind is SchemeKind.RANDOM:
             left = self._left

@@ -29,7 +29,7 @@ from .addressing import (
     SOURCE_RANDOM,
     SOURCE_SPARE,
 )
-from .avl import AvlTree
+from .avl import Node
 from .harness import (
     DEFAULT_RATIOS,
     DEFAULT_TRIALS,
@@ -39,7 +39,6 @@ from .harness import (
     ROTATION_COUNTINGS,
     ExperimentConfig,
     SchemeSpec,
-    balanced_insertion_order,
     check_tree_size,
     compare_thresholds,
     nodes_for_width,
@@ -255,23 +254,26 @@ def cmd_assign_dump(args) -> int:
     width = num_nodes.bit_length() + 2 if args.width is None else args.width
     scheme = SchemeConfig(kind, width, ratio if kind is SchemeKind.HART else None, seed=args.seed)
     assigner = AddressAssigner(scheme, num_nodes)
-    # The balanced tree is floor(log2 n) deep: below the width whenever
-    # its n nodes fit the 2**width - 1 addresses (otherwise CapacityError
-    # came first), so every node has a DFAT rank.  The build never
-    # rotates, so a node keeps the position and address it attached with.
+    # The balanced tree of keys 0..n-1 is placed, not grown: breadth first,
+    # each key range's midpoint sits at its heap id, its halves at 2*id and
+    # 2*id + 1, which is where and in the order that inserting the midpoints
+    # attaches them.  It is floor(log2 n) deep: below the width whenever its
+    # n nodes fit the 2**width - 1 addresses (otherwise CapacityError came
+    # first), so every node has a DFAT rank.
     positional_name = "gray" if kind is SchemeKind.GRAY else "dfat-gray"
     header = ("key", "level", "region", "dfat_rank", "address")
     rows = []
-
-    def attach(node, depth, heap_id):
+    ranges = [(0, num_nodes, 1)]
+    for lo, hi, heap_id in ranges:  # the list grows behind the loop
+        if lo >= hi:
+            continue
+        mid, depth = (lo + hi) // 2, heap_id.bit_length() - 1
+        node = Node(mid)
         value = assigner.assign_on_insert(node, depth, heap_id)
         region = _REGION_NAMES.get(assigner.records[node].source, positional_name)
-        rows.append((node.key, heap_id.bit_length(), region, dfat_rank(heap_id, depth, width),
+        rows.append((mid, depth + 1, region, dfat_rank(heap_id, depth, width),
                      format(value, f"0{width}b")))
-
-    tree = AvlTree()
-    for key in balanced_insertion_order(num_nodes):
-        tree.insert(key, on_attach=attach)
+        ranges += ((lo, mid, 2 * heap_id), (mid + 1, hi, 2 * heap_id + 1))
     rows.sort()
     if args.out == "json":
         write_series_json(sys.stdout, header, rows)

@@ -115,26 +115,6 @@ def gen_dataset(n: int, seed: int) -> list:
     return items
 
 
-def balanced_insertion_order(n: int) -> list:
-    """Keys 0..n-1 ordered so plain insertion builds a balanced tree
-    with no rotations (breadth-first midpoint splitting)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    order = []
-    queue = [(0, n)]
-    head = 0
-    while head < len(queue):
-        lo, hi = queue[head]
-        head += 1
-        if lo >= hi:
-            continue
-        mid = (lo + hi) // 2
-        order.append(mid)
-        queue.append((lo, mid))
-        queue.append((mid + 1, hi))
-    return order
-
-
 class TrialRunner:
     """Wires one tree of ``num_nodes`` keys, one assigner and one ledger together."""
 

@@ -4,10 +4,12 @@ The oracles here deliberately avoid the library's own shortcuts: DFAT
 ranks come from an explicit traversal of the complete tree, flip totals
 come from full before/after snapshots of every stored word,
 ``avl_defect`` checks a tree's key order and cached balance factors
-against heights it recomputes in one walk, ``binary_to_gray`` and
-``gray_to_binary`` encode and invert a Gray code, ``heap_id_of``
-builds a path's heap id one step at a time, and ``path_of`` reads a
-path back off a heap id's binary digits.
+against heights it recomputes in one walk, ``balanced_order`` lists
+the keys of a balanced tree in the order that grows it with no
+rotation, ``binary_to_gray`` and ``gray_to_binary`` encode and
+invert a Gray code, ``heap_id_of`` builds a path's heap id one step
+at a time, and ``path_of`` reads a path back off a heap id's binary
+digits.
 """
 
 import math
@@ -175,6 +177,18 @@ def gray_to_binary(gray):
         value ^= gray
         gray >>= 1
     return value
+
+
+def balanced_order(n):
+    """Keys 0..n-1 breadth first by midpoint splitting: each key range's
+    midpoint, then its halves', so inserting them never rotates."""
+    order, ranges = [], [(0, n)]
+    for lo, hi in ranges:
+        if lo < hi:
+            mid = (lo + hi) // 2
+            order.append(mid)
+            ranges += ((lo, mid), (mid + 1, hi))
+    return order
 
 
 def build_tree(keys):

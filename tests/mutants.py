@@ -96,6 +96,9 @@ MUTANTS = [
     ("cli.py", "width = num_nodes.bit_length() + 2 if args.width is None",
      "width = num_nodes.bit_length() + 3 if args.width is None",
      "assign-dump's default pointer width one bit too wide"),
+    ("cli.py", "mid, depth = (lo + hi) // 2,",
+     "mid, depth = (lo + hi + 1) // 2,",
+     "assign-dump places each key range's upper midpoint"),
     ("cli.py", "add_mutually_exclusive_group(required=True)",
      "add_mutually_exclusive_group()",
      "a missing tree size is no longer a usage error"),

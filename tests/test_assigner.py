@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import address_map, binary_to_gray, heap_id_of
+from conftest import address_map, balanced_order, binary_to_gray, heap_id_of
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import (
     AddressAssigner,
@@ -26,7 +26,6 @@ from hartsim.harness import (
     FULL_PASS,
     INCREMENTAL,
     TrialRunner,
-    balanced_insertion_order,
     gen_dataset,
     rotations_histogram,
     run_trial,
@@ -198,7 +197,7 @@ def test_hart_seven_node_tree_regions_and_addresses():
     """Keys 0..6 inserted balanced at width 5, ratio 1/4 -> T = 1: the
     root is linear address 0, deeper nodes carry Gray-coded DFAT ranks."""
     runner = make_runner(SchemeKind.HART, 5, ratio=Fraction(1, 4), n=7)
-    feed(runner, balanced_insertion_order(7))
+    feed(runner, balanced_order(7))
     tree = runner.tree
     assigner = runner.assigner
     assert tree_height_estimate(7) == 3
@@ -244,7 +243,7 @@ def test_hart_linear_gray_conflict_falls_back_to_spare():
 def test_hart_ratio_one_on_balanced_tree_is_all_linear():
     # A balanced 63-key build never exceeds level H = 6 = T.
     runner = make_runner(SchemeKind.HART, 8, ratio=1, n=63)
-    feed(runner, balanced_insertion_order(63))
+    feed(runner, balanced_order(63))
     for node, _ in runner.tree.nodes_with_paths():
         assert runner.assigner.records[node].source == SOURCE_LINEAR
     assert sorted(address_map(runner).values()) == list(range(63))
@@ -390,7 +389,7 @@ def test_full_pass_counts_nodes_indexed_below_linear_region(kind, ratio, indexed
     of every node outside the linear region: 15 - (2**T - 1) for hart at
     T = 1, 2, 3, all 15 for the positional schemes, none for linear."""
     runner = feed(
-        make_runner(kind, 6, ratio=ratio, n=15), balanced_insertion_order(15)
+        make_runner(kind, 6, ratio=ratio, n=15), balanced_order(15)
     )
     assert runner.ledger.total_rotations == 0
     assert runner.assigner.indexed_nodes == 0
@@ -409,7 +408,7 @@ def test_depth_overflow_falls_back_to_spare_and_counts():
 
 def test_gray_scheme_uses_level_order_positions():
     runner = make_runner(SchemeKind.GRAY, 5, n=7)
-    feed(runner, balanced_insertion_order(7))
+    feed(runner, balanced_order(7))
     for node, path in runner.tree.nodes_with_paths():
         rec = runner.assigner.records[node]
         pos = 1

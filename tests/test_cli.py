@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import io
 import json
 import os
 import re
@@ -9,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import avl_defect, balanced_order, brute_force_dfat_ranks, path_of
 from hartsim import harness
 from hartsim.accounting import AccountingConfig
 from hartsim.addressing import MAX_POINTER_WIDTH, SchemeConfig, SchemeKind
 from hartsim.avl import AvlTree
-from hartsim.cli import main, parse_bits, parse_ratio, parse_schemes
+from hartsim.cli import ASSIGN_DUMP_LIMIT, main, parse_bits, parse_ratio, parse_schemes
 
 #: Metrics whose values are timing-dependent and therefore excluded
 #: from byte-identity comparisons between runs.
@@ -449,6 +451,36 @@ def test_assign_dump_seven_node_fixture(capsys):
     assert by_key[5]["address"] == "11000"  # gray(16) == 24
     addresses = {rec["address"] for rec in records}
     assert len(addresses) == 7
+
+
+def test_balanced_order_builds_without_rotations():
+    assert balanced_order(7) == [3, 1, 5, 0, 2, 4, 6]
+    for n in range(1, ASSIGN_DUMP_LIMIT + 1):  # the balanced inputs of test_assigner
+        tree = AvlTree()
+        for key in balanced_order(n):
+            assert tree.insert(key) == []
+        assert avl_defect(tree) is None  # so in-order is sorted order
+        assert sorted(node.key for node, _ in tree.nodes_with_paths()) == list(range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 100, 511, 1000, 1023, 1024])
+def test_assign_dump_places_each_key_where_insertion_attaches_it(capsys, n):
+    """assign-dump places its balanced tree without growing one: each key's
+    level and DFAT rank are those of the position inserting the keys in
+    ``balanced_order`` attaches it at, the rank from the brute-force traversal."""
+    ranks = brute_force_dfat_ranks(n.bit_length() + 2)  # assign-dump's default width
+    attached = {}
+
+    def attach(node, depth, heap_id):
+        attached[node.key] = (depth + 1, ranks[path_of(heap_id)])
+
+    tree = AvlTree()
+    for key in balanced_order(n):
+        tree.insert(key, on_attach=attach)
+    assert main(["assign-dump", "--nodes", str(n), "--out", "csv"]) == 0
+    rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert [(int(row["key"]), (int(row["level"]), int(row["dfat_rank"]))) for row in rows] \
+        == sorted(attached.items())
 
 
 def test_assign_dump_ratio_one_all_linear(capsys):

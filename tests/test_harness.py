@@ -14,11 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import avl_defect
 from hartsim.accounting import AccountingConfig, FlipLedger
 from hartsim.addressing import (SchemeConfig, SchemeKind, threshold_from_ratio,
                                  tree_height_estimate)
-from hartsim.avl import AvlTree
 from hartsim import cli, harness
 from hartsim.harness import (
     MAX_NODES,
@@ -29,7 +27,6 @@ from hartsim.harness import (
     PER_CASE,
     ExperimentConfig,
     SchemeSpec,
-    balanced_insertion_order,
     compare_thresholds,
     dataset_seed,
     gen_dataset,
@@ -264,16 +261,6 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         SchemeSpec(SchemeKind.HART)  # missing ratio
     assert SchemeSpec(SchemeKind.HART, 0.5).threshold_ratio == Fraction(1, 2)
-
-
-def test_balanced_insertion_order_builds_without_rotations():
-    assert balanced_insertion_order(7) == [3, 1, 5, 0, 2, 4, 6]
-    for n in range(1, cli.ASSIGN_DUMP_LIMIT + 1):  # assign-dump's positions are final
-        tree = AvlTree()
-        for key in balanced_insertion_order(n):
-            assert tree.insert(key) == []
-        assert avl_defect(tree) is None  # so in-order is sorted order
-        assert sorted(node.key for node, _ in tree.nodes_with_paths()) == list(range(n))
 
 
 def test_full_pass_mode_trial_matches_incremental():
