@@ -61,10 +61,14 @@ ROTATION_COUNTINGS = (PER_CASE, DECOMPOSED)
 DEFAULT_TRIALS = 100
 DEFAULT_RATIOS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
-#: Most nodes one trial may build, nodes_for_width(24).  A width-14 trial
-#: peaks at 260-360 bytes per node under tracemalloc (key list, tree
-#: node, address record, dict entries); at 512 with headroom, 2**22 nodes
-#: take 2 GiB, so two workers fit in 8 GiB of memory with room left.
+#: Memory one trial may take per node of its tree.  Under tracemalloc a
+#: width-16 incremental trial peaks at 263-326 bytes per node (key list,
+#: tree node, address record, dict entries), and a full-pass trial at
+#: 343-453 at widths 12-14; 512 leaves headroom over both.
+BYTES_PER_NODE = 512
+
+#: Most nodes one trial may build, nodes_for_width(24): at BYTES_PER_NODE,
+#: 2**22 nodes take 2 GiB, so two workers fit in 8 GiB with room left.
 MAX_NODES = (1 << 22) - 1
 
 
@@ -290,11 +294,19 @@ class CellResult:
         return self.wall_seconds_total / self.trials
 
 
-def _map_trials(fn, tasks, jobs: int) -> list:
-    """``fn`` over ``tasks``, outcomes in task order: N = min(jobs, tasks,
-    CPUs) forked workers each pipe back every N-th task's outcome, or the
+def _map_trials(fn, tasks, jobs: int, nodes: int) -> list:
+    """``fn`` over ``tasks``, whose largest tree has ``nodes`` nodes,
+    outcomes in task order: N = min(jobs, tasks, CPUs, trees of
+    :data:`BYTES_PER_NODE` that physical memory holds, at least one)
+    forked workers each pipe back every N-th task's outcome, or the
     exception to raise here; with N < 2, or no ``os.fork``, in-process."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError):  # no sysconf, or not these names
+        pass
+    else:
+        workers = min(workers, max(1, memory // (nodes * BYTES_PER_NODE)))
     if workers < 2 or not hasattr(os, "fork"):
         return [fn(task) for task in tasks]
     import pickle, signal  # an in-process run loads neither
@@ -365,7 +377,8 @@ def _run_cells(cells, trials: int, base_seed: int,
     ]
     ledgers = [FlipLedger() for _ in cells]
     walls = [0.0] * len(cells)
-    for i, (ledger, wall) in enumerate(_map_trials(_trial_task, tasks, jobs)):
+    outcomes = _map_trials(_trial_task, tasks, jobs, max(sizes, default=1))
+    for i, (ledger, wall) in enumerate(outcomes):
         cell = i // trials
         ledgers[cell] = ledgers[cell].merge(ledger)
         walls[cell] += wall
@@ -447,13 +460,15 @@ def rotations_histograms(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_modes(INCREMENTAL, rotation_counting)
+    sizes = [nodes_for_width(width) for width in widths]
     tasks = [
-        (nodes_for_width(width), dataset_seed(base_seed, width, trial), rotation_counting)
-        for width in widths
+        (size, dataset_seed(base_seed, width, trial), rotation_counting)
+        for width, size in zip(widths, sizes)
         for trial in range(trials)
     ]
     totals = [Counter() for _ in widths]
-    for i, counts in enumerate(_map_trials(_histogram_task, tasks, jobs)):
+    outcomes = _map_trials(_histogram_task, tasks, jobs, max(sizes, default=1))
+    for i, counts in enumerate(outcomes):
         totals[i // trials].update(counts)
     return [{level: total[level] / trials for level in sorted(total)}
             for total in totals]

@@ -82,6 +82,9 @@ MUTANTS = [
     ("harness.py", 'if workers < 2 or not hasattr(os, "fork"):',
      'if workers < 3 or not hasattr(os, "fork"):',
      "two workers run in-process: the fork threshold moved"),
+    ("harness.py", "workers = min(workers, max(1, memory // (nodes * BYTES_PER_NODE)))",
+     "workers = workers",
+     "the fan-out forks more trees than physical memory holds: the memory term dropped"),
     ("harness.py", "return [shares[i % workers][i // workers] for i in range(len(tasks))]",
      "return [outcome for share in shares for outcome in share]",
      "outcomes merged share by share, not in task order (fan-out ordering)"),

@@ -98,8 +98,11 @@ def test_criterion_2_height_and_threshold_units():
 # ----------------------------------------------------------------------
 # 3. AVL integrity over 50 seeded trials at n = 2^12 - 1
 # ----------------------------------------------------------------------
+INTEGRITY_NODES = (1 << 12) - 1
+
+
 def _avl_integrity_trial(seed):
-    n = (1 << 12) - 1
+    n = INTEGRITY_NODES
     tree = AvlTree()
     bound = 1.4405 * math.log2(n + 2)
     for key in gen_dataset(n, seed):
@@ -118,7 +121,8 @@ def _avl_integrity_trial(seed):
 
 
 def test_criterion_3_avl_integrity():
-    problems = [p for p in harness._map_trials(_avl_integrity_trial, list(range(50)), JOBS) if p]
+    problems = [p for p in harness._map_trials(_avl_integrity_trial, list(range(50)), JOBS,
+                                              INTEGRITY_NODES) if p]
     ok = not problems
     assert report(
         3,

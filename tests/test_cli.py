@@ -740,10 +740,10 @@ def test_rotations_rejects_flags_it_does_not_read(tmp_path, capsys, flag):
 
 
 def test_import_hartsim_loads_no_process_pool_modules(tmp_path):
-    """``import hartsim`` stays cheap, and no run loads a process pool:
-    ``bench --jobs 2`` forks its workers itself."""
+    """Importing the library's modules stays cheap, and no run loads a
+    process pool: ``bench --jobs 2`` forks its workers itself."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = ("import sys, hartsim; print([m for m in ('concurrent.futures', "
+    code = ("import sys, hartsim.harness, hartsim.report; print([m for m in ('concurrent.futures', "
             "'multiprocessing') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True)

@@ -342,7 +342,7 @@ def test_map_trials_runs_task_i_in_worker_i_mod_n(monkeypatch, jobs):
 
     for count in range(1, 10):
         tasks = [dataset_seed(0, 8, trial) for trial in range(count)]
-        outcomes = harness._map_trials(fn, tasks, jobs)
+        outcomes = harness._map_trials(fn, tasks, jobs, 63)
         assert [hist for hist, _ in outcomes] == [fn(task)[0] for task in tasks]
         pids = [pid for _, pid in outcomes]
         workers = min(jobs, count)
@@ -363,12 +363,40 @@ def test_map_trials_raises_a_workers_exception_as_the_serial_run_does(monkeypatc
         return task
 
     with pytest.raises(ValueError) as serial:
-        harness._map_trials(fn, list(range(7)), 1)
+        harness._map_trials(fn, list(range(7)), 1, 1)
     with pytest.raises(ValueError) as forked:
-        harness._map_trials(fn, list(range(7)), 3)
+        harness._map_trials(fn, list(range(7)), 3, 1)
     assert type(forked.value) is type(serial.value)
     assert str(forked.value) == str(serial.value) == "task 4 is bad"
     assert_no_child_left()
+
+
+def test_map_trials_forks_no_more_workers_than_memory_holds_trees(monkeypatch):
+    """On 64 CPUs, ``jobs`` 4 forks two workers where physical memory
+    holds exactly two ``MAX_NODES``-sized trees, runs in-process where it
+    holds none, and forks four where ``os.sysconf`` cannot tell."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+
+    def fn(task):
+        return task * task, os.getpid()
+
+    tasks = list(range(9))
+    for trees, workers in ((2, 2), (0, 1), (None, 4)):
+        def sysconf(name):
+            if trees is None:
+                raise ValueError(f"unrecognized configuration name {name!r}")
+            return {"SC_PAGE_SIZE": harness.BYTES_PER_NODE,
+                    "SC_PHYS_PAGES": trees * MAX_NODES}[name]
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        outcomes = harness._map_trials(fn, tasks, 4, MAX_NODES)
+        assert [square for square, _ in outcomes] == [fn(task)[0] for task in tasks]
+        pids = {pid for _, pid in outcomes}
+        if workers == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids and len(pids) == workers
+        assert_no_child_left()
 
 
 @pytest.mark.parametrize("dead", [0, 1, 2])
@@ -387,7 +415,7 @@ def test_a_worker_that_dies_mid_share_is_an_error_not_a_hang(monkeypatch, dead):
 
     start = perf_counter()
     with pytest.raises(RuntimeError, match=r"exited with status 3$"):
-        harness._map_trials(fn, list(range(9)), 3)
+        harness._map_trials(fn, list(range(9)), 3, 1)
     assert perf_counter() - start < 10  # the busy workers were not waited for
     assert_no_child_left()
 

@@ -1,7 +1,6 @@
 """Dead-name checks of the package source, with the standard library's
-``ast`` alone: every imported name is used (``__init__.py`` imports only
-to re-export, so it is left out), and every private name a module
-defines at its top level or as a class's method is read in that
+``ast`` alone: every imported name is used, and every private name a
+module defines at its top level or as a class's method is read in that
 module."""
 
 import ast
@@ -30,8 +29,7 @@ def test_check_finds_an_unused_import():
     assert unused_imports(source) == ["os", "p"]
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
